@@ -2008,9 +2008,9 @@ pub fn chaos(config: &ReproConfig) -> (Table, Table) {
 ///   engine (one `EvalPlan` cell, iid failures at p = 0.3);
 /// * `avail/scalar` — the scalar Monte-Carlo availability estimator (one
 ///   coloring sampled and checked per trial);
-/// * `avail/batched` — the word-parallel batched estimator (64 trials per
-///   word pass via `green_quorum_lanes`), with its speedup over the scalar
-///   path in the last column.
+/// * `avail/batched` — the word-parallel batched estimator (up to 512
+///   trials per circuit pass via `green_quorum_lane_block`), with its
+///   speedup over the scalar path in the last column.
 ///
 /// Timings are wall-clock and therefore **not** deterministic; the
 /// `reproduce` binary prints this table to stderr and records it in the

@@ -71,8 +71,6 @@ pub mod prelude {
         SessionTrace, SimTime, SpecReport, SupervisorPolicy, WorkloadConfig, WorkloadReport,
         WorkloadSpec,
     };
-    #[allow(deprecated)]
-    pub use quorum_cluster::{run_net_workload, run_workload};
     pub use quorum_core::{
         delta_evaluator_for, Color, Coloring, ColoringDelta, Coterie, DeltaEvaluator,
         DynQuorumSystem, ElementId, ElementSet, Organizations, QuorumError, QuorumSystem,

@@ -3,12 +3,9 @@
 //! virtual-time simulator and the real-concurrency live runtime from the
 //! same [`NetSessionPlan`] / [`ProbePolicy`] types.
 //!
-//! Historically the crate grew three diverging run surfaces —
-//! [`run_workload`](crate::workload::run_workload) (latency-only),
-//! [`run_net_workload`](crate::workload::run_net_workload) (message-level)
-//! and `quorum-sim`'s cell wrappers — each threading the same parameters in
-//! a different order. `WorkloadSpec` subsumes them: the old free functions
-//! are kept as deprecated, bit-identical thin wrappers over the builder.
+//! [`WorkloadSpec::run`] takes message-level plans and
+//! [`WorkloadSpec::run_plans`] latency-only ones; `quorum-sim`'s cell
+//! runners build on the same spec.
 //!
 //! The backend axis is where the API earns its keep:
 //!
@@ -324,8 +321,7 @@ pub fn cross_validate(
 /// [`Backend::Live`].
 #[derive(Debug)]
 pub struct SpecReport {
-    /// The discrete-event engine's report — identical to what the deprecated
-    /// free functions returned for the same inputs.
+    /// The discrete-event engine's report.
     pub report: WorkloadReport,
     /// The captured per-session trace (live backend only).
     pub trace: Option<SessionTrace>,
@@ -483,10 +479,22 @@ impl WorkloadSpec {
     }
 
     /// Runs the spec. `session(index, ledger, now, rng)` is called once per
-    /// session at its (virtual) arrival time — exactly the closure contract
-    /// of the deprecated [`run_net_workload`](crate::workload::run_net_workload).
+    /// session at its (virtual) arrival time, with the live ledger and the
+    /// engine's RNG — the caller samples the failure scenario, decides each
+    /// element's transit fate through [`NetworkModel::probe_fate`], runs its
+    /// strategy against the *observed* coloring, and returns the resulting
+    /// [`NetSessionPlan`]. The engine then executes the plan probe by probe:
+    /// failed attempts cost the configured timeout (plus the policy's
+    /// backoff), answered attempts travel the delay → queue → service →
+    /// delay pipeline, and — when the policy hedges — a probe that has not
+    /// resolved after the hedging delay launches the session's next
+    /// candidate in parallel (at most two probes in flight; the race's
+    /// slower probe is counted as cancelled).
     ///
-    /// Under [`Backend::Sim`] this is the discrete-event engine, bit for bit.
+    /// Under [`Backend::Sim`] this is the discrete-event engine: all
+    /// randomness comes from one `StdRng` seeded with `seed`, events
+    /// tie-break on a schedule counter, and the report is a pure function of
+    /// the spec, `seed` and `session`.
     /// Under [`Backend::Live`] the sim runs first (same bits), its trace is
     /// replayed on the live runtime, and the two executions are
     /// cross-validated; the wall-clock side lands in [`SpecReport::live`]
@@ -561,9 +569,8 @@ impl WorkloadSpec {
         }
     }
 
-    /// Runs the spec on latency-only plans (the contract of the deprecated
-    /// [`run_workload`](crate::workload::run_workload)): green probes answer
-    /// first try, red probes are one unanswered attempt.
+    /// Runs the spec on latency-only plans: green probes answer first try,
+    /// red probes are one unanswered attempt (each costs the probe timeout).
     ///
     /// # Panics
     ///

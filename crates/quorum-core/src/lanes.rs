@@ -14,8 +14,9 @@ pub const LANE_TRIALS: usize = 64;
 
 /// The block widths (in lane words per element) the multi-word engine is
 /// specialised for. Every family's [`crate::QuorumSystem::green_quorum_lane_block`]
-/// dispatches these widths to monomorphised evaluators; other widths fall
-/// back to word-at-a-time evaluation.
+/// dispatches these widths to monomorphised evaluators and rejects any
+/// other width, so callers split their trial words into blocks of these
+/// widths.
 pub const LANE_WIDTHS: [usize; 3] = [1, 4, 8];
 
 /// A packed group of trial lanes: either a single `u64` word (64 trials) or a

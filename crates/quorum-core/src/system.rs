@@ -53,16 +53,15 @@ pub trait QuorumSystem {
     /// independent trials (bit `t` set = green in trial `t`), and bit `t` of
     /// the returned word is 1 iff trial `t`'s green set contains a quorum.
     ///
-    /// Returns `None` when the construction has no lane evaluator; batched
-    /// estimators then fall back to transposing the block and calling
-    /// [`QuorumSystem::contains_quorum`] per trial. Implementations reduce
-    /// quorum checks to AND/OR/threshold word operations over the lanes (see
-    /// [`crate::lanes`]), so the per-trial cost drops by up to 64×.
+    /// This is [`QuorumSystem::green_quorum_lane_block`] at width 1, and
+    /// returns `None` when the construction has no lane evaluator.
+    /// Implementations override the block method, not this one.
     ///
     /// `lanes.len()` must equal [`QuorumSystem::universe_size`].
     fn green_quorum_lanes(&self, lanes: &[u64]) -> Option<u64> {
-        let _ = lanes;
-        None
+        let mut out = [0u64];
+        self.green_quorum_lane_block(lanes, 1, &mut out)
+            .then_some(out[0])
     }
 
     /// Multi-word block evaluation: `width · 64` trials per circuit traversal.
@@ -71,44 +70,25 @@ pub trait QuorumSystem {
     /// word `w` of element `e`, so each element's block is one contiguous
     /// `[u64; width]` load. On success the `width` result words are written to
     /// `out` (bit `t` of `out[w]` = trial `w·64+t` contains a green quorum)
-    /// and `true` is returned.
+    /// and `true` is returned. Implementations reduce quorum checks to
+    /// AND/OR/threshold word operations over the lanes (see [`crate::lanes`]),
+    /// so the per-trial cost drops by up to `64·width`×.
     ///
-    /// Implementations dispatch the widths in [`crate::lanes::LANE_WIDTHS`] to
-    /// monomorphised [`crate::lanes::LaneBlock`] evaluators; the default falls
-    /// back to gathering each trial word and calling
-    /// [`QuorumSystem::green_quorum_lanes`], and returns `false` (out
-    /// unspecified) when no lane evaluator exists at all. The method stays
+    /// A construction with a lane evaluator evaluates every width in
+    /// [`crate::lanes::LANE_WIDTHS`], dispatching each to a monomorphised
+    /// [`crate::lanes::LaneBlock`] circuit, and returns `false` (out
+    /// unspecified) for any other width. The default returns `false` for
+    /// every width: the construction has no lane evaluator, and batched
+    /// estimators transpose the block and call
+    /// [`QuorumSystem::contains_quorum`] per trial instead. The method stays
     /// object-safe (runtime `width`, no generics) so `dyn QuorumSystem`
-    /// callers get the wide path too.
+    /// callers get the lane path too.
     ///
     /// `lanes.len()` must equal `universe_size() · width` and `out.len()` must
     /// equal `width`.
     fn green_quorum_lane_block(&self, lanes: &[u64], width: usize, out: &mut [u64]) -> bool {
-        let n = self.universe_size();
-        debug_assert_eq!(lanes.len(), n * width);
-        debug_assert_eq!(out.len(), width);
-        if width == 1 {
-            match self.green_quorum_lanes(lanes) {
-                Some(word) => {
-                    out[0] = word;
-                    return true;
-                }
-                None => return false,
-            }
-        }
-        // Fallback: strided gather of each trial word through the single-word
-        // evaluator. Correct for any width, at single-word speed.
-        let mut scratch = vec![0u64; n];
-        for (w, out_word) in out.iter_mut().enumerate() {
-            for (e, s) in scratch.iter_mut().enumerate() {
-                *s = lanes[e * width + w];
-            }
-            match self.green_quorum_lanes(&scratch) {
-                Some(word) => *out_word = word,
-                None => return false,
-            }
-        }
-        true
+        let _ = (lanes, width, out);
+        false
     }
 
     /// An incremental evaluator of the green-quorum predicate, when the
@@ -192,9 +172,6 @@ impl<T: QuorumSystem + ?Sized> QuorumSystem for &T {
     fn max_quorum_size(&self) -> usize {
         (**self).max_quorum_size()
     }
-    fn green_quorum_lanes(&self, lanes: &[u64]) -> Option<u64> {
-        (**self).green_quorum_lanes(lanes)
-    }
     fn green_quorum_lane_block(&self, lanes: &[u64], width: usize, out: &mut [u64]) -> bool {
         (**self).green_quorum_lane_block(lanes, width, out)
     }
@@ -222,9 +199,6 @@ impl<T: QuorumSystem + ?Sized> QuorumSystem for Arc<T> {
     fn max_quorum_size(&self) -> usize {
         (**self).max_quorum_size()
     }
-    fn green_quorum_lanes(&self, lanes: &[u64]) -> Option<u64> {
-        (**self).green_quorum_lanes(lanes)
-    }
     fn green_quorum_lane_block(&self, lanes: &[u64], width: usize, out: &mut [u64]) -> bool {
         (**self).green_quorum_lane_block(lanes, width, out)
     }
@@ -251,9 +225,6 @@ impl<T: QuorumSystem + ?Sized> QuorumSystem for Box<T> {
     }
     fn max_quorum_size(&self) -> usize {
         (**self).max_quorum_size()
-    }
-    fn green_quorum_lanes(&self, lanes: &[u64]) -> Option<u64> {
-        (**self).green_quorum_lanes(lanes)
     }
     fn green_quorum_lane_block(&self, lanes: &[u64], width: usize, out: &mut [u64]) -> bool {
         (**self).green_quorum_lane_block(lanes, width, out)

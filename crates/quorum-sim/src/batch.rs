@@ -7,9 +7,11 @@
 //! = alive in trial `t`), filled straight from the RNG by the exact
 //! binary-expansion sampler of [`quorum_core::lanes::bernoulli_lanes`], and
 //! the quorum availability check becomes AND/OR/popcount over lanes via
-//! [`quorum_core::QuorumSystem::green_quorum_lanes`]. Systems without a lane
-//! evaluator transparently fall back to a per-trial transpose + scalar check,
-//! so the estimator is total over all constructions.
+//! [`quorum_core::QuorumSystem::green_quorum_lane_block`], up to
+//! [`DEFAULT_BATCH_WIDTH`] lane words per element (512 trials) per circuit
+//! pass. Systems without a lane evaluator fall back to a per-trial
+//! transpose + scalar check, so the estimator is total over all
+//! constructions.
 //!
 //! Determinism: trial word `j` of a run derives its RNG as
 //! `derive_rng(base_seed, BATCH_CELL, j)` and consumes it element-
@@ -19,7 +21,7 @@
 //! count **and any lane width** — the same contract as the evaluation engine.
 
 use quorum_analysis::RunningStats;
-use quorum_core::lanes::{bernoulli_lane_words, LANE_TRIALS};
+use quorum_core::lanes::{bernoulli_lane_words, LANE_TRIALS, LANE_WIDTHS};
 use quorum_core::{ElementSet, QuorumSystem, WORD_BITS};
 use rand::RngCore;
 use rayon::prelude::*;
@@ -57,16 +59,16 @@ where
 
 /// [`batched_failure_probability`] at an explicit lane-block width.
 ///
-/// The trial axis is tiled into superblocks of `width` consecutive 64-trial
-/// words. Each trial word owns its own derived RNG stream and is consumed
-/// element-sequentially regardless of the width it is grouped under, so
-/// **every width returns the same bits** — `width` only tunes how many trials
-/// each traversal of the quorum predicate amortises.
-///
-/// Widths outside [`quorum_core::lanes::LANE_WIDTHS`] (and partial tail
-/// blocks) transparently fall back to word-at-a-time evaluation; systems
-/// without any lane evaluator fall back further to a per-trial transpose +
-/// scalar check, so the estimator is total over all constructions.
+/// The trial axis is tiled into superblocks of at most `width` consecutive
+/// 64-trial words, each the largest width in
+/// [`quorum_core::lanes::LANE_WIDTHS`] that fits, so other widths and partial
+/// tail blocks split into narrower superblocks. Each trial word owns its own
+/// derived RNG stream and is consumed element-sequentially regardless of the
+/// superblock it is grouped under, so **every width returns the same bits**
+/// — `width` only tunes how many trials each traversal of the quorum
+/// predicate amortises. Systems without a lane evaluator take a per-trial
+/// transpose + scalar check, so the estimator is total over all
+/// constructions.
 ///
 /// # Panics
 ///
@@ -87,15 +89,27 @@ where
     let n = system.universe_size();
     let green_probability = 1.0 - p;
     let words = trials.div_ceil(LANE_TRIALS);
-    let superblocks: Vec<usize> = (0..words).step_by(width).collect();
+    // Tile the trial words into superblocks of at most `width` words, each a
+    // width the lane circuits are specialised for (the largest that fits).
+    let mut superblocks = Vec::new();
+    let mut first_word = 0;
+    while first_word < words {
+        let room = width.min(words - first_word);
+        let w = LANE_WIDTHS
+            .into_iter()
+            .rev()
+            .find(|&k| k <= room)
+            .expect("LANE_WIDTHS contains 1");
+        superblocks.push((first_word, w));
+        first_word += w;
+    }
 
     // Each superblock is independent and pure: fill an element-major block of
     // lanes (one RNG stream per trial word), evaluate the quorum predicate
     // over all of its trials in one circuit walk, return the failure words.
     let block_words: Vec<(Vec<u64>, usize)> = superblocks
         .into_par_iter()
-        .map(|first_word| {
-            let w = width.min(words - first_word);
+        .map(|(first_word, w)| {
             let mut rngs: Vec<TrialRng> = (0..w)
                 .map(|i| derive_rng(base_seed, BATCH_CELL, (first_word + i) as u64))
                 .collect();
@@ -106,18 +120,7 @@ where
             let take = (LANE_TRIALS * w).min(trials - first_word * LANE_TRIALS);
             let mut available = vec![0u64; w];
             if !system.green_quorum_lane_block(&lanes, w, &mut available) {
-                // No block evaluator at this width: gather each trial word
-                // out of the element-major layout and take the word path.
-                let mut word_lanes = vec![0u64; n];
-                for (j, out) in available.iter_mut().enumerate() {
-                    for (e, lane) in word_lanes.iter_mut().enumerate() {
-                        *lane = lanes[e * w + j];
-                    }
-                    let word_take = LANE_TRIALS.min(trials - (first_word + j) * LANE_TRIALS);
-                    *out = system
-                        .green_quorum_lanes(&word_lanes)
-                        .unwrap_or_else(|| transpose_and_check(system, &word_lanes, word_take));
-                }
+                transpose_and_check(system, &lanes, take, &mut available);
             }
             for word in &mut available {
                 *word = !*word;
@@ -164,31 +167,32 @@ where
     }
 }
 
-/// Fallback for systems without a lane evaluator: transpose the block into
-/// per-trial green sets (word accumulation, one scratch set) and evaluate the
-/// scalar characteristic function per trial.
-fn transpose_and_check<S>(system: &S, lanes: &[u64], take: usize) -> u64
+/// Fallback for systems without a lane evaluator: transpose each of the
+/// first `take` trials of the element-major block into a green set (word
+/// accumulation, one scratch set) and evaluate the scalar characteristic
+/// function, writing trial `w·64+t`'s verdict to bit `t` of `out[w]`.
+fn transpose_and_check<S>(system: &S, lanes: &[u64], take: usize, out: &mut [u64])
 where
     S: QuorumSystem + ?Sized,
 {
-    let n = lanes.len();
-    let mut green = ElementSet::empty(n);
-    let mut available = 0u64;
-    for t in 0..take {
+    let width = out.len();
+    let mut green = ElementSet::empty(system.universe_size());
+    out.fill(0);
+    for trial in 0..take {
+        let (w, t) = (trial / LANE_TRIALS, trial % LANE_TRIALS);
         // Chunk the *element* axis by the set's backing-word width (which is
         // independent of the trial-lane width, even though both are 64).
-        for (word_index, chunk) in lanes.chunks(WORD_BITS).enumerate() {
+        for (word_index, chunk) in lanes.chunks(WORD_BITS * width).enumerate() {
             let mut word = 0u64;
-            for (bit, &lane) in chunk.iter().enumerate() {
-                word |= ((lane >> t) & 1) << bit;
+            for (bit, block) in chunk.chunks(width).enumerate() {
+                word |= ((block[w] >> t) & 1) << bit;
             }
             green.set_word(word_index, word);
         }
         if system.contains_quorum(&green) {
-            available |= 1u64 << t;
+            out[w] |= 1u64 << t;
         }
     }
-    available
 }
 
 #[cfg(test)]

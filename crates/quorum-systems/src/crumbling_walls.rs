@@ -302,14 +302,6 @@ impl QuorumSystem for CrumblingWalls {
         false
     }
 
-    fn green_quorum_lanes(&self, lanes: &[u64]) -> Option<u64> {
-        debug_assert_eq!(lanes.len(), self.n);
-        // Bottom-up over rows, 64 trials per pass: "row full" is an AND over
-        // its element lanes, "row represented" an OR; a quorum exists when
-        // some row is full with every row below it represented.
-        Some(self.green_lane_block_impl::<u64>(lanes))
-    }
-
     fn green_quorum_lane_block(&self, lanes: &[u64], width: usize, out: &mut [u64]) -> bool {
         dispatch_lane_block!(self, lanes, width, out)
     }

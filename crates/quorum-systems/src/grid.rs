@@ -225,13 +225,6 @@ impl QuorumSystem for Grid {
         (0..self.cols).any(|c| (0..self.rows).all(|r| set.contains(self.element(r, c))))
     }
 
-    fn green_quorum_lanes(&self, lanes: &[u64]) -> Option<u64> {
-        debug_assert_eq!(lanes.len(), self.rows * self.cols);
-        // 64 trials per pass: a full row/column is an AND over its element
-        // lanes, "any row" / "any column" an OR over the row/column lanes.
-        Some(self.green_lane_block_impl::<u64>(lanes))
-    }
-
     fn green_quorum_lane_block(&self, lanes: &[u64], width: usize, out: &mut [u64]) -> bool {
         dispatch_lane_block!(self, lanes, width, out)
     }

@@ -1,83 +1,10 @@
 //! The Hierarchical Quorum System (HQS) of Kumar.
 
 use quorum_core::lanes::{majority3_lanes, Lanes};
-use quorum_core::{
-    Coloring, ColoringDelta, DeltaEvaluator, ElementId, ElementSet, QuorumError, QuorumSystem,
-};
+use quorum_core::{DeltaEvaluator, ElementId, ElementSet, QuorumError, QuorumSystem};
 
-use crate::dispatch_lane_block;
-
-/// Incremental HQS evaluation over the complete ternary gate tree in heap
-/// order (node `k` has children `3k+1 .. 3k+3`; the `3^h` leaves occupy the
-/// last heap slots left to right, so leaf `j` sits at `internal + j`). A
-/// delta recomputes only the flipped leaves and their root paths in
-/// decreasing heap order — O(flips · height) per update.
-#[derive(Debug, Clone)]
-struct HqsDeltaEval {
-    /// Number of internal (2-of-3 gate) nodes, `(3^h − 1) / 2`.
-    internal: usize,
-    /// Number of leaves, `3^h` — the universe size.
-    leaves: usize,
-    value: Vec<bool>,
-    dirty: Vec<usize>,
-    primed: bool,
-}
-
-impl HqsDeltaEval {
-    fn gate(&self, k: usize, coloring: &Coloring) -> bool {
-        if k >= self.internal {
-            return coloring.is_green(k - self.internal);
-        }
-        let (a, b, c) = (
-            self.value[3 * k + 1],
-            self.value[3 * k + 2],
-            self.value[3 * k + 3],
-        );
-        (a && (b || c)) || (b && c)
-    }
-}
-
-impl DeltaEvaluator for HqsDeltaEval {
-    fn reset(&mut self, coloring: &Coloring) -> bool {
-        assert_eq!(coloring.universe_size(), self.leaves, "universe mismatch");
-        for k in (0..self.internal + self.leaves).rev() {
-            self.value[k] = self.gate(k, coloring);
-        }
-        self.primed = true;
-        self.value[0]
-    }
-
-    fn update(&mut self, post: &Coloring, delta: &ColoringDelta) -> bool {
-        assert!(self.primed, "update before reset");
-        assert_eq!(post.universe_size(), self.leaves, "universe mismatch");
-        let mut dirty = std::mem::take(&mut self.dirty);
-        dirty.clear();
-        for e in delta.flipped_elements() {
-            let mut k = self.internal + e;
-            loop {
-                dirty.push(k);
-                if k == 0 {
-                    break;
-                }
-                k = (k - 1) / 3;
-            }
-        }
-        // Children carry larger heap indices than their parents, so a
-        // descending sweep recomputes every dirty gate after its inputs.
-        dirty.sort_unstable_by(|a, b| b.cmp(a));
-        dirty.dedup();
-        for &k in &dirty {
-            self.value[k] = self.gate(k, post);
-        }
-        self.dirty = dirty;
-        self.value[0]
-    }
-
-    fn verdict(&self) -> bool {
-        assert!(self.primed, "verdict before reset");
-        self.value[0]
-    }
-}
+use crate::spec::compose_delta_evaluator;
+use crate::{dispatch_lane_block, SystemSpec};
 
 /// Kumar's Hierarchical Quorum System over `n = 3^h` elements.
 ///
@@ -250,24 +177,17 @@ impl QuorumSystem for Hqs {
         self.evaluate_with(|leaf| set.contains(leaf))
     }
 
-    fn green_quorum_lanes(&self, lanes: &[u64]) -> Option<u64> {
-        debug_assert_eq!(lanes.len(), self.n);
-        Some(self.green_lane_block_impl::<u64>(lanes))
-    }
-
     fn green_quorum_lane_block(&self, lanes: &[u64], width: usize, out: &mut [u64]) -> bool {
         dispatch_lane_block!(self, lanes, width, out)
     }
 
+    /// The incremental evaluator of the equivalent 2-of-3 circuit
+    /// ([`SystemSpec::hqs_as_compose`]), built on each call: an update
+    /// climbs from each flipped leaf only while a gate's verdict changes.
     fn delta_evaluator(&self) -> Option<Box<dyn DeltaEvaluator + Send>> {
-        let internal = (self.n - 1) / 2;
-        Some(Box::new(HqsDeltaEval {
-            internal,
-            leaves: self.n,
-            value: vec![false; internal + self.n],
-            dirty: Vec::new(),
-            primed: false,
-        }))
+        Some(compose_delta_evaluator(&SystemSpec::hqs_as_compose(
+            self.height,
+        )))
     }
 
     fn min_quorum_size(&self) -> usize {

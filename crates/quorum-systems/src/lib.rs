@@ -65,10 +65,9 @@ use std::sync::Arc;
 
 /// Dispatches a family's const-generic `green_lane_block_impl` over the
 /// supported widths ([`quorum_core::lanes::LANE_WIDTHS`]), storing the result
-/// words and returning `true`; any other width returns `false` so callers use
-/// the word-at-a-time path. Expands inside each family's
-/// `green_quorum_lane_block` override, keeping the trait object-safe while
-/// the evaluators themselves monomorphise.
+/// words and returning `true`; any other width returns `false`. Expands
+/// inside each family's `green_quorum_lane_block` override, keeping the
+/// trait object-safe while the evaluators themselves monomorphise.
 macro_rules! dispatch_lane_block {
     ($self:ident, $lanes:ident, $width:ident, $out:ident) => {{
         use quorum_core::lanes::{LaneBlock, Lanes as _};
@@ -273,7 +272,8 @@ mod tests {
     }
 
     /// Every family's incremental delta evaluator must agree with from-scratch
-    /// evaluation along random coloring walks, across word-boundary sizes.
+    /// evaluation along random coloring walks, across word-boundary sizes,
+    /// and at n≈4k with about 100 flips per step (high churn).
     #[test]
     fn delta_evaluators_match_from_scratch_evaluation() {
         use quorum_core::{delta_evaluator_for, Color, Coloring};
@@ -288,7 +288,14 @@ mod tests {
         };
 
         for entry in catalogue() {
-            for hint in [5usize, 16, 40, 70, 130] {
+            for (hint, max_flips) in [
+                (5usize, 3),
+                (16, 3),
+                (40, 3),
+                (70, 3),
+                (130, 3),
+                (4096, 200),
+            ] {
                 let system = (entry.build)(hint);
                 let n = system.universe_size();
                 assert!(
@@ -311,9 +318,9 @@ mod tests {
                     entry.family
                 );
                 for step in 0..40 {
-                    // Flip a small random batch of elements (sometimes none).
+                    // Flip a random batch of elements (sometimes none).
                     let mut post = current.clone();
-                    let flips = (next() % 4) as usize;
+                    let flips = (next() % (max_flips + 1)) as usize;
                     for _ in 0..flips {
                         let e = (next() % n as u64) as usize;
                         post.set_color(e, post.color(e).opposite());

@@ -135,13 +135,6 @@ impl QuorumSystem for Majority {
         set.len() >= self.quorum_size()
     }
 
-    fn green_quorum_lanes(&self, lanes: &[u64]) -> Option<u64> {
-        debug_assert_eq!(lanes.len(), self.n);
-        // 64 trials per pass: the cardinality threshold becomes a bit-sliced
-        // ripple-carry count over the element lanes.
-        Some(self.green_lane_block_impl::<u64>(lanes))
-    }
-
     fn green_quorum_lane_block(&self, lanes: &[u64], width: usize, out: &mut [u64]) -> bool {
         dispatch_lane_block!(self, lanes, width, out)
     }

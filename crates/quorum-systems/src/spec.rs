@@ -18,7 +18,9 @@ use std::fmt;
 use std::str::FromStr;
 use std::sync::Arc;
 
-use quorum_core::{DynQuorumSystem, ElementId, Organizations, QuorumError, QuorumSystem};
+use quorum_core::{
+    DeltaEvaluator, DynQuorumSystem, ElementId, Organizations, QuorumError, QuorumSystem,
+};
 
 use crate::{Composition, CompositionNode, CrumblingWalls, Grid, Hqs, Majority, TreeQuorum, Wheel};
 
@@ -579,6 +581,20 @@ impl SystemSpec {
             _ => return None,
         })
     }
+}
+
+/// The incremental evaluator of the circuit a `Compose` spec builds.
+///
+/// # Panics
+///
+/// Panics if `spec` does not build a [`Composition`].
+pub(crate) fn compose_delta_evaluator(spec: &SystemSpec) -> Box<dyn DeltaEvaluator + Send> {
+    let Ok(BuiltSystem::Composition(circuit)) = spec.build_concrete() else {
+        panic!("{spec} does not build a composition");
+    };
+    circuit
+        .delta_evaluator()
+        .expect("a composition has a delta evaluator")
 }
 
 impl fmt::Display for SystemSpec {

@@ -1,79 +1,10 @@
 //! The Tree quorum system of Agrawal & El Abbadi.
 
 use quorum_core::lanes::Lanes;
-use quorum_core::{
-    Coloring, ColoringDelta, DeltaEvaluator, ElementId, ElementSet, QuorumError, QuorumSystem,
-};
+use quorum_core::{DeltaEvaluator, ElementId, ElementSet, QuorumError, QuorumSystem};
 
-use crate::dispatch_lane_block;
-
-/// Incremental tree evaluation: one cached gate value per node. A delta only
-/// recomputes the flipped nodes and their root paths — the dirty subcircuit —
-/// in decreasing heap order (children before parents), so an update costs
-/// O(flips · height) instead of O(n).
-#[derive(Debug, Clone)]
-struct TreeDeltaEval {
-    n: usize,
-    value: Vec<bool>,
-    dirty: Vec<usize>,
-    primed: bool,
-}
-
-impl TreeDeltaEval {
-    /// Recomputes the gate at node `v` from the coloring and the (already
-    /// current) child values.
-    fn gate(&self, v: usize, coloring: &Coloring) -> bool {
-        let green = coloring.is_green(v);
-        let l = 2 * v + 1;
-        if l >= self.n {
-            return green;
-        }
-        let (left, right) = (self.value[l], self.value[l + 1]);
-        (green && (left || right)) || (left && right)
-    }
-}
-
-impl DeltaEvaluator for TreeDeltaEval {
-    fn reset(&mut self, coloring: &Coloring) -> bool {
-        assert_eq!(coloring.universe_size(), self.n, "universe mismatch");
-        for v in (0..self.n).rev() {
-            self.value[v] = self.gate(v, coloring);
-        }
-        self.primed = true;
-        self.value[0]
-    }
-
-    fn update(&mut self, post: &Coloring, delta: &ColoringDelta) -> bool {
-        assert!(self.primed, "update before reset");
-        assert_eq!(post.universe_size(), self.n, "universe mismatch");
-        let mut dirty = std::mem::take(&mut self.dirty);
-        dirty.clear();
-        for e in delta.flipped_elements() {
-            let mut v = e;
-            loop {
-                dirty.push(v);
-                if v == 0 {
-                    break;
-                }
-                v = (v - 1) / 2;
-            }
-        }
-        // Children carry larger heap indices than their parents, so a
-        // descending sweep recomputes every dirty gate after its inputs.
-        dirty.sort_unstable_by(|a, b| b.cmp(a));
-        dirty.dedup();
-        for &v in &dirty {
-            self.value[v] = self.gate(v, post);
-        }
-        self.dirty = dirty;
-        self.value[0]
-    }
-
-    fn verdict(&self) -> bool {
-        assert!(self.primed, "verdict before reset");
-        self.value[0]
-    }
-}
+use crate::spec::compose_delta_evaluator;
+use crate::{dispatch_lane_block, SystemSpec};
 
 /// The Tree quorum system over a complete binary tree of height `h`
 /// (`n = 2^{h+1} − 1` elements, one per tree node, in heap order: the root is
@@ -246,22 +177,17 @@ impl QuorumSystem for TreeQuorum {
         self.subtree_contains_quorum(0, set)
     }
 
-    fn green_quorum_lanes(&self, lanes: &[u64]) -> Option<u64> {
-        debug_assert_eq!(lanes.len(), self.n);
-        Some(self.green_lane_block_impl::<u64>(lanes))
-    }
-
     fn green_quorum_lane_block(&self, lanes: &[u64], width: usize, out: &mut [u64]) -> bool {
         dispatch_lane_block!(self, lanes, width, out)
     }
 
+    /// The incremental evaluator of the equivalent 2-of-3 circuit
+    /// ([`SystemSpec::tree_as_compose`]), built on each call: an update
+    /// climbs from each flipped leaf only while a gate's verdict changes.
     fn delta_evaluator(&self) -> Option<Box<dyn DeltaEvaluator + Send>> {
-        Some(Box::new(TreeDeltaEval {
-            n: self.n,
-            value: vec![false; self.n],
-            dirty: Vec::new(),
-            primed: false,
-        }))
+        Some(compose_delta_evaluator(&SystemSpec::tree_as_compose(
+            self.height,
+        )))
     }
 
     fn min_quorum_size(&self) -> usize {
