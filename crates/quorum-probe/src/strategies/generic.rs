@@ -1,6 +1,9 @@
 //! Generic probing strategies applicable to any quorum system.
 
-use quorum_core::{QuorumSystem, Witness, WitnessKind};
+use quorum_core::{
+    Color, Coloring, ColoringDelta, DeltaEvaluator, ElementId, QuorumSystem, Witness, WitnessKind,
+    WORD_BITS,
+};
 use rand::seq::SliceRandom;
 use rand::RngCore;
 
@@ -24,31 +27,114 @@ impl SequentialScan {
     }
 }
 
+/// Whether the probed greens or the probed reds contain a quorum, kept up to
+/// date one probe at a time.
+///
+/// With a family [`DeltaEvaluator`], each color gets one, run over the
+/// coloring in which exactly the elements probed with that color are green.
+/// A first-time probe is then a single red→green flip into the evaluator of
+/// the observed color — O(flips · height) instead of an O(n) re-check of the
+/// probed set. Without one, the probed sets are re-checked through
+/// [`QuorumSystem::contains_quorum`].
+struct ProbedQuorums<'s, S: ?Sized> {
+    system: &'s S,
+    /// Indexed by [`side`]; `None` when the system has no delta evaluator.
+    sides: Option<[Side; 2]>,
+    delta: ColoringDelta,
+}
+
+/// One color's incremental evaluator and the coloring it last evaluated.
+struct Side {
+    coloring: Coloring,
+    evaluator: Box<dyn DeltaEvaluator + Send>,
+}
+
+fn side(color: Color) -> usize {
+    match color {
+        Color::Green => 0,
+        Color::Red => 1,
+    }
+}
+
+impl<'s, S: QuorumSystem + ?Sized> ProbedQuorums<'s, S> {
+    fn new(system: &'s S, oracle: &ProbeOracle<'_>) -> Self {
+        let start = |color| {
+            let mut evaluator = system.delta_evaluator()?;
+            let coloring = Coloring::from_red_set(&oracle.probed_with(color).complement());
+            evaluator.reset(&coloring);
+            Some(Side {
+                coloring,
+                evaluator,
+            })
+        };
+        ProbedQuorums {
+            system,
+            sides: start(Color::Green)
+                .zip(start(Color::Red))
+                .map(|(green, red)| [green, red]),
+            delta: ColoringDelta::empty(oracle.universe_size()),
+        }
+    }
+
+    /// Probes `e`, feeding a first-time probe to the evaluator of its color.
+    fn probe(&mut self, oracle: &mut ProbeOracle<'_>, e: ElementId) {
+        let first = !oracle.is_probed(e);
+        let color = oracle.probe(e);
+        if let (true, Some(sides)) = (first, &mut self.sides) {
+            let Side {
+                coloring,
+                evaluator,
+            } = &mut sides[side(color)];
+            coloring.set_color(e, Color::Green);
+            self.delta.clear();
+            self.delta.push_word(e / WORD_BITS, 1 << (e % WORD_BITS));
+            evaluator.update(coloring, &self.delta);
+        }
+    }
+
+    /// Whether the elements probed with `color` contain a quorum.
+    fn contains_quorum(&self, oracle: &ProbeOracle<'_>, color: Color) -> bool {
+        match &self.sides {
+            Some(sides) => sides[side(color)].evaluator.verdict(),
+            None => self.system.contains_quorum(oracle.probed_with(color)),
+        }
+    }
+}
+
 /// Shared scan loop: probe the supplied order until a monochromatic
-/// certificate appears, then return it.
+/// certificate appears, then return it. After each probe the green side is
+/// checked before the red side.
 pub(crate) fn scan_until_witness<S: QuorumSystem + ?Sized>(
     system: &S,
     oracle: &mut ProbeOracle<'_>,
     order: impl IntoIterator<Item = usize>,
 ) -> Witness {
+    let mut probed = ProbedQuorums::new(system, oracle);
     for e in order {
-        oracle.probe(e);
-        if system.contains_quorum(oracle.green_probed()) {
-            return Witness::new(WitnessKind::GreenQuorum, oracle.green_probed().clone());
-        }
-        if system.contains_quorum(oracle.red_probed()) {
-            return Witness::new(WitnessKind::RedQuorum, oracle.red_probed().clone());
+        probed.probe(oracle, e);
+        for color in [Color::Green, Color::Red] {
+            if probed.contains_quorum(oracle, color) {
+                return witness(oracle, color);
+            }
         }
     }
     // All elements probed: for an ND coterie one of the two cases above must
     // have fired.  For a dominated system neither monochromatic set may
     // contain a quorum, but the red set is then necessarily a transversal
     // (there is no green quorum), which is still a valid red certificate.
-    if system.contains_quorum(oracle.green_probed()) {
-        Witness::new(WitnessKind::GreenQuorum, oracle.green_probed().clone())
+    if probed.contains_quorum(oracle, Color::Green) {
+        witness(oracle, Color::Green)
     } else {
-        Witness::new(WitnessKind::RedQuorum, oracle.red_probed().clone())
+        witness(oracle, Color::Red)
     }
+}
+
+/// The certificate made of the elements probed with `color`.
+fn witness(oracle: &ProbeOracle<'_>, color: Color) -> Witness {
+    Witness::new(
+        WitnessKind::for_color(color),
+        oracle.probed_with(color).clone(),
+    )
 }
 
 impl<S: QuorumSystem + ?Sized> ProbeStrategy<S> for SequentialScan {

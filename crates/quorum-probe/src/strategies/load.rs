@@ -23,7 +23,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use quorum_core::{QuorumSystem, Witness, WitnessKind};
+use quorum_core::{QuorumSystem, Witness};
 use rand::RngCore;
 
 use super::generic::scan_until_witness;
@@ -187,35 +187,31 @@ impl<S: QuorumSystem + ?Sized> ProbeStrategy<S> for PowerOfTwoScan {
     ) -> Witness {
         let n = system.universe_size();
         let mut remaining: Vec<usize> = (0..n).collect();
-        while !remaining.is_empty() {
-            let pick = if remaining.len() == 1 {
-                0
-            } else {
-                let len = remaining.len() as u64;
-                let a = (rng.next_u64() % len) as usize;
-                let b = (rng.next_u64() % len) as usize;
-                let (ea, eb) = (remaining[a], remaining[b]);
-                // Less-loaded wins; ties go to the lower element index (which
-                // also absorbs the a == b case).
-                if (self.view.load(ea), ea) <= (self.view.load(eb), eb) {
-                    a
-                } else {
-                    b
+        // Drawn lazily, one pick per probe, so no randomness is spent after
+        // the certificate appears.
+        let picks = std::iter::from_fn(|| {
+            let pick = match remaining.len() {
+                0 => return None,
+                1 => 0,
+                len => {
+                    let len = len as u64;
+                    let a = (rng.next_u64() % len) as usize;
+                    let b = (rng.next_u64() % len) as usize;
+                    let (ea, eb) = (remaining[a], remaining[b]);
+                    // Less-loaded wins; ties go to the lower element index
+                    // (which also absorbs the a == b case).
+                    if (self.view.load(ea), ea) <= (self.view.load(eb), eb) {
+                        a
+                    } else {
+                        b
+                    }
                 }
             };
             let e = remaining.swap_remove(pick);
             self.view.add(e, 1);
-            oracle.probe(e);
-            if system.contains_quorum(oracle.green_probed()) {
-                return Witness::new(WitnessKind::GreenQuorum, oracle.green_probed().clone());
-            }
-            if system.contains_quorum(oracle.red_probed()) {
-                return Witness::new(WitnessKind::RedQuorum, oracle.red_probed().clone());
-            }
-        }
-        // Everything probed without a monochromatic quorum: as in the scan
-        // strategies, the red set is then a transversal certificate.
-        Witness::new(WitnessKind::RedQuorum, oracle.red_probed().clone())
+            Some(e)
+        });
+        scan_until_witness(system, oracle, picks)
     }
 }
 
@@ -319,6 +315,20 @@ mod tests {
         // Element 0 only goes first when both candidates drew it (prob 1/9
         // per probe) — far less often than the 1/3 of a uniform first probe.
         assert!(hot_first < 10, "hot element probed first {hot_first}/50");
+    }
+
+    #[test]
+    fn power_of_two_charges_exactly_the_probed_elements() {
+        let maj = Majority::new(9).unwrap();
+        let view = LoadView::new(9);
+        let strategy = PowerOfTwoScan::new(view.clone());
+        let mut rng = StdRng::seed_from_u64(5);
+        let run = run_strategy(&maj, &strategy, &Coloring::all_green(9), &mut rng);
+        assert_eq!(run.probes, 5);
+        let charged: Vec<u64> = (0..9)
+            .map(|e| u64::from(run.sequence.contains(&e)))
+            .collect();
+        assert_eq!(view.snapshot(), charged);
     }
 
     #[test]

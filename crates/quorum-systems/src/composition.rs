@@ -9,6 +9,8 @@
 //! expressible as compositions (see `SystemSpec::{tree_as_compose,
 //! hqs_as_compose, grid_as_compose}`), and Majority is the one-gate case.
 
+use std::sync::Arc;
+
 use quorum_core::lanes::{count_at_least_lanes, Lanes};
 use quorum_core::{
     Coloring, ColoringDelta, DeltaEvaluator, ElementId, ElementSet, QuorumError, QuorumSystem,
@@ -71,6 +73,19 @@ enum Node {
     },
 }
 
+/// The immutable flattened circuit, shared by a [`Composition`], its clones
+/// and its delta evaluators.
+#[derive(Debug, PartialEq, Eq, Hash)]
+struct Circuit {
+    nodes: Vec<Node>,
+    child_ids: Vec<u32>,
+    /// `parent[v]` is the gate consuming node `v`; `u32::MAX` marks the root.
+    parent: Vec<u32>,
+    /// CSR multimap element → leaf nodes (elements may repeat).
+    leaf_off: Vec<u32>,
+    leaf_nodes: Vec<u32>,
+}
+
 /// A recursive threshold composition implementing [`QuorumSystem`].
 ///
 /// The circuit is stored flat in post-order; `contains_quorum` is one
@@ -105,13 +120,7 @@ enum Node {
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Composition {
     n: usize,
-    nodes: Vec<Node>,
-    child_ids: Vec<u32>,
-    /// `parent[v]` is the gate consuming node `v`; `u32::MAX` marks the root.
-    parent: Vec<u32>,
-    /// CSR multimap element → leaf nodes (elements may repeat).
-    leaf_off: Vec<u32>,
-    leaf_nodes: Vec<u32>,
+    circuit: Arc<Circuit>,
     depth: usize,
     read_once: bool,
     min_q: usize,
@@ -171,11 +180,13 @@ impl Composition {
 
         let mut this = Composition {
             n: universe,
-            nodes,
-            child_ids,
-            parent,
-            leaf_off,
-            leaf_nodes,
+            circuit: Arc::new(Circuit {
+                nodes,
+                child_ids,
+                parent,
+                leaf_off,
+                leaf_nodes,
+            }),
             depth,
             read_once,
             min_q: 0,
@@ -202,7 +213,8 @@ impl Composition {
 
     /// Number of threshold gates in the circuit.
     pub fn gate_count(&self) -> usize {
-        self.nodes
+        self.circuit
+            .nodes
             .iter()
             .filter(|node| matches!(node, Node::Gate { .. }))
             .count()
@@ -210,7 +222,7 @@ impl Composition {
 
     /// Number of leaves in the circuit (counting repeats).
     pub fn leaf_count(&self) -> usize {
-        self.leaf_nodes.len()
+        self.circuit.leaf_nodes.len()
     }
 
     /// Gate depth of the circuit (a bare leaf has depth 0).
@@ -233,10 +245,10 @@ impl Composition {
 
     /// The disjoint-children DP over (min, max) minimal-quorum sizes.
     fn size_dp(&self) -> (usize, usize) {
-        let mut mins = vec![0usize; self.nodes.len()];
-        let mut maxs = vec![0usize; self.nodes.len()];
+        let mut mins = vec![0usize; self.circuit.nodes.len()];
+        let mut maxs = vec![0usize; self.circuit.nodes.len()];
         let mut scratch: Vec<usize> = Vec::new();
-        for (v, node) in self.nodes.iter().enumerate() {
+        for (v, node) in self.circuit.nodes.iter().enumerate() {
             match node {
                 Node::Leaf(_) => {
                     mins[v] = 1;
@@ -251,7 +263,8 @@ impl Composition {
                     if k == 0 {
                         continue; // constant true: the empty quorum
                     }
-                    let children = &self.child_ids[*start as usize..(*start + *len) as usize];
+                    let children =
+                        &self.circuit.child_ids[*start as usize..(*start + *len) as usize];
                     scratch.clear();
                     scratch.extend(children.iter().map(|&c| mins[c as usize]));
                     scratch.sort_unstable();
@@ -263,7 +276,7 @@ impl Composition {
                 }
             }
         }
-        let root = self.nodes.len() - 1;
+        let root = self.circuit.nodes.len() - 1;
         (mins[root], maxs[root])
     }
 
@@ -273,8 +286,8 @@ impl Composition {
     /// they appear. Handles repeated leaves exactly (unions overlap and
     /// shrink) — only feasible for small universes.
     fn minimal_antichain(&self) -> Vec<ElementSet> {
-        let mut sets: Vec<Vec<ElementSet>> = Vec::with_capacity(self.nodes.len());
-        for node in &self.nodes {
+        let mut sets: Vec<Vec<ElementSet>> = Vec::with_capacity(self.circuit.nodes.len());
+        for node in &self.circuit.nodes {
             let acc = match node {
                 Node::Leaf(e) => vec![ElementSet::singleton(self.n, *e as usize)],
                 Node::Gate {
@@ -286,7 +299,8 @@ impl Composition {
                     if k == 0 {
                         vec![ElementSet::empty(self.n)]
                     } else {
-                        let children = &self.child_ids[*start as usize..(*start + *len) as usize];
+                        let children =
+                            &self.circuit.child_ids[*start as usize..(*start + *len) as usize];
                         let mut acc: Vec<ElementSet> = Vec::new();
                         let mut picked: Vec<u32> = Vec::with_capacity(k);
                         subsets_cross(children, k, &sets, &mut picked, &mut acc, self.n);
@@ -306,8 +320,8 @@ impl Composition {
     }
 
     fn green_lane_block_impl<L: Lanes>(&self, lanes: &[u64]) -> L {
-        let mut values: Vec<L> = Vec::with_capacity(self.nodes.len());
-        for node in &self.nodes {
+        let mut values: Vec<L> = Vec::with_capacity(self.circuit.nodes.len());
+        for node in &self.circuit.nodes {
             let value = match node {
                 Node::Leaf(e) => L::load(&lanes[*e as usize * L::WORDS..]),
                 Node::Gate {
@@ -315,7 +329,8 @@ impl Composition {
                     start,
                     len,
                 } => {
-                    let children = &self.child_ids[*start as usize..(*start + *len) as usize];
+                    let children =
+                        &self.circuit.child_ids[*start as usize..(*start + *len) as usize];
                     count_at_least_lanes(
                         children.iter().map(|&c| values[c as usize]),
                         *threshold as usize,
@@ -439,7 +454,8 @@ fn subsets_cross(
 /// early exit, independent of evaluation order even with repeated leaves.
 #[derive(Debug, Clone)]
 struct CompositionDeltaEval {
-    circuit: Composition,
+    n: usize,
+    circuit: Arc<Circuit>,
     value: Vec<bool>,
     sat: Vec<u32>,
     primed: bool,
@@ -499,11 +515,7 @@ impl CompositionDeltaEval {
 
 impl DeltaEvaluator for CompositionDeltaEval {
     fn reset(&mut self, coloring: &Coloring) -> bool {
-        assert_eq!(
-            coloring.universe_size(),
-            self.circuit.n,
-            "universe mismatch"
-        );
+        assert_eq!(coloring.universe_size(), self.n, "universe mismatch");
         self.recompute(coloring);
         self.primed = true;
         self.verdict()
@@ -511,7 +523,7 @@ impl DeltaEvaluator for CompositionDeltaEval {
 
     fn update(&mut self, post: &Coloring, delta: &ColoringDelta) -> bool {
         assert!(self.primed, "update before reset");
-        assert_eq!(post.universe_size(), self.circuit.n, "universe mismatch");
+        assert_eq!(post.universe_size(), self.n, "universe mismatch");
         for e in delta.flipped_elements() {
             let new = post.is_green(e);
             let (lo, hi) = (
@@ -549,8 +561,8 @@ impl QuorumSystem for Composition {
     }
 
     fn contains_quorum(&self, set: &ElementSet) -> bool {
-        let mut values = vec![false; self.nodes.len()];
-        for (v, node) in self.nodes.iter().enumerate() {
+        let mut values = vec![false; self.circuit.nodes.len()];
+        for (v, node) in self.circuit.nodes.iter().enumerate() {
             values[v] = match node {
                 Node::Leaf(e) => set.contains(*e as usize),
                 Node::Gate {
@@ -558,7 +570,8 @@ impl QuorumSystem for Composition {
                     start,
                     len,
                 } => {
-                    let children = &self.child_ids[*start as usize..(*start + *len) as usize];
+                    let children =
+                        &self.circuit.child_ids[*start as usize..(*start + *len) as usize];
                     children.iter().filter(|&&c| values[c as usize]).count() >= *threshold as usize
                 }
             };
@@ -572,9 +585,10 @@ impl QuorumSystem for Composition {
 
     fn delta_evaluator(&self) -> Option<Box<dyn DeltaEvaluator + Send>> {
         Some(Box::new(CompositionDeltaEval {
-            value: vec![false; self.nodes.len()],
-            sat: vec![0; self.nodes.len()],
-            circuit: self.clone(),
+            value: vec![false; self.circuit.nodes.len()],
+            sat: vec![0; self.circuit.nodes.len()],
+            n: self.n,
+            circuit: Arc::clone(&self.circuit),
             primed: false,
         }))
     }

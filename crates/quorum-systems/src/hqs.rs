@@ -3,7 +3,7 @@
 use quorum_core::lanes::{majority3_lanes, Lanes};
 use quorum_core::{DeltaEvaluator, ElementId, ElementSet, QuorumError, QuorumSystem};
 
-use crate::spec::compose_delta_evaluator;
+use crate::spec::LazyCircuit;
 use crate::{dispatch_lane_block, SystemSpec};
 
 /// Kumar's Hierarchical Quorum System over `n = 3^h` elements.
@@ -37,6 +37,7 @@ use crate::{dispatch_lane_block, SystemSpec};
 pub struct Hqs {
     height: usize,
     n: usize,
+    circuit: LazyCircuit,
 }
 
 impl Hqs {
@@ -60,6 +61,7 @@ impl Hqs {
         Ok(Hqs {
             height,
             n: 3usize.pow(height as u32),
+            circuit: LazyCircuit::default(),
         })
     }
 
@@ -182,12 +184,14 @@ impl QuorumSystem for Hqs {
     }
 
     /// The incremental evaluator of the equivalent 2-of-3 circuit
-    /// ([`SystemSpec::hqs_as_compose`]), built on each call: an update
-    /// climbs from each flipped leaf only while a gate's verdict changes.
+    /// ([`SystemSpec::hqs_as_compose`]), built on the first call and shared
+    /// by every later one: an update climbs from each flipped leaf only
+    /// while a gate's verdict changes.
     fn delta_evaluator(&self) -> Option<Box<dyn DeltaEvaluator + Send>> {
-        Some(compose_delta_evaluator(&SystemSpec::hqs_as_compose(
-            self.height,
-        )))
+        Some(
+            self.circuit
+                .delta_evaluator(|| SystemSpec::hqs_as_compose(self.height)),
+        )
     }
 
     fn min_quorum_size(&self) -> usize {

@@ -339,6 +339,56 @@ mod tests {
         }
     }
 
+    /// The pattern the scan strategies drive: reset on all-red, then flip
+    /// every element red→green one at a time in a random order. The verdict
+    /// must equal from-scratch evaluation at every step — including the
+    /// all-red start of counters such as Grid's clean lines and Wheel's rim,
+    /// which random starting colorings rarely reach.
+    #[test]
+    fn delta_evaluators_track_monotone_single_flips_from_all_red() {
+        use quorum_core::{delta_evaluator_for, Color, Coloring, ColoringDelta, WORD_BITS};
+
+        let mut state = 0x5ca1_ab1e_0dd5_eed5u64;
+        let mut next = move || {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
+
+        for entry in catalogue() {
+            for hint in [5usize, 16, 40, 70, 130, 4096] {
+                let system = (entry.build)(hint);
+                let n = system.universe_size();
+                let mut order: Vec<usize> = (0..n).collect();
+                for i in (1..n).rev() {
+                    order.swap(i, (next() % (i as u64 + 1)) as usize);
+                }
+                let mut eval = delta_evaluator_for(&system);
+                let mut coloring = Coloring::all_red(n);
+                assert_eq!(
+                    eval.reset(&coloring),
+                    system.has_green_quorum(&coloring),
+                    "{} n={n}: all-red reset diverged",
+                    entry.family
+                );
+                let mut delta = ColoringDelta::empty(n);
+                for (step, &e) in order.iter().enumerate() {
+                    coloring.set_color(e, Color::Green);
+                    delta.clear();
+                    delta.push_word(e / WORD_BITS, 1 << (e % WORD_BITS));
+                    assert_eq!(
+                        eval.update(&coloring, &delta),
+                        system.has_green_quorum(&coloring),
+                        "{} n={n}: flip {step} (element {e}) diverged from scratch",
+                        entry.family
+                    );
+                }
+            }
+        }
+    }
+
     /// Every family's word-parallel lane evaluator must agree with the scalar
     /// characteristic function, trial by trial, across word-boundary sizes.
     #[test]

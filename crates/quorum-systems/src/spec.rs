@@ -15,8 +15,9 @@
 //! `orgs([members];[members];…;inner)`.
 
 use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::str::FromStr;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use quorum_core::{
     DeltaEvaluator, DynQuorumSystem, ElementId, Organizations, QuorumError, QuorumSystem,
@@ -583,18 +584,48 @@ impl SystemSpec {
     }
 }
 
-/// The incremental evaluator of the circuit a `Compose` spec builds.
+/// A family's equivalent [`Composition`] circuit, built on first use and
+/// then shared by every delta evaluator the family hands out.
 ///
-/// # Panics
-///
-/// Panics if `spec` does not build a [`Composition`].
-pub(crate) fn compose_delta_evaluator(spec: &SystemSpec) -> Box<dyn DeltaEvaluator + Send> {
-    let Ok(BuiltSystem::Composition(circuit)) = spec.build_concrete() else {
-        panic!("{spec} does not build a composition");
-    };
-    circuit
-        .delta_evaluator()
-        .expect("a composition has a delta evaluator")
+/// It is a cache, not part of the system's identity: all instances compare
+/// and hash equal.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct LazyCircuit(OnceLock<Composition>);
+
+impl LazyCircuit {
+    /// The incremental evaluator of the circuit `spec` builds; `spec` runs
+    /// only on the first call.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the spec does not build a [`Composition`].
+    pub(crate) fn delta_evaluator(
+        &self,
+        spec: impl FnOnce() -> SystemSpec,
+    ) -> Box<dyn DeltaEvaluator + Send> {
+        self.0
+            .get_or_init(|| {
+                let spec = spec();
+                let Ok(BuiltSystem::Composition(circuit)) = spec.build_concrete() else {
+                    panic!("{spec} does not build a composition");
+                };
+                circuit
+            })
+            .delta_evaluator()
+            .expect("a composition has a delta evaluator")
+    }
+}
+
+impl PartialEq for LazyCircuit {
+    fn eq(&self, _: &Self) -> bool {
+        true
+    }
+}
+
+impl Eq for LazyCircuit {}
+
+impl Hash for LazyCircuit {
+    fn hash<H: Hasher>(&self, _: &mut H) {}
 }
 
 impl fmt::Display for SystemSpec {

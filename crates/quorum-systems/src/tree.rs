@@ -3,7 +3,7 @@
 use quorum_core::lanes::Lanes;
 use quorum_core::{DeltaEvaluator, ElementId, ElementSet, QuorumError, QuorumSystem};
 
-use crate::spec::compose_delta_evaluator;
+use crate::spec::LazyCircuit;
 use crate::{dispatch_lane_block, SystemSpec};
 
 /// The Tree quorum system over a complete binary tree of height `h`
@@ -39,6 +39,7 @@ use crate::{dispatch_lane_block, SystemSpec};
 pub struct TreeQuorum {
     height: usize,
     n: usize,
+    circuit: LazyCircuit,
 }
 
 impl TreeQuorum {
@@ -63,7 +64,11 @@ impl TreeQuorum {
             });
         }
         let n = (1usize << (height + 1)) - 1;
-        Ok(TreeQuorum { height, n })
+        Ok(TreeQuorum {
+            height,
+            n,
+            circuit: LazyCircuit::default(),
+        })
     }
 
     /// Creates the largest tree system with at most `max_elements` elements.
@@ -182,12 +187,14 @@ impl QuorumSystem for TreeQuorum {
     }
 
     /// The incremental evaluator of the equivalent 2-of-3 circuit
-    /// ([`SystemSpec::tree_as_compose`]), built on each call: an update
-    /// climbs from each flipped leaf only while a gate's verdict changes.
+    /// ([`SystemSpec::tree_as_compose`]), built on the first call and shared
+    /// by every later one: an update climbs from each flipped leaf only
+    /// while a gate's verdict changes.
     fn delta_evaluator(&self) -> Option<Box<dyn DeltaEvaluator + Send>> {
-        Some(compose_delta_evaluator(&SystemSpec::tree_as_compose(
-            self.height,
-        )))
+        Some(
+            self.circuit
+                .delta_evaluator(|| SystemSpec::tree_as_compose(self.height)),
+        )
     }
 
     fn min_quorum_size(&self) -> usize {

@@ -124,21 +124,26 @@ fn failure_model_lane_fills_are_invariant_under_width_regrouping() {
     }
 }
 
-/// Builds one evaluation plan at roughly the requested universe size. Small
-/// universes exercise the generic `SequentialScan`; larger ones stick to the
-/// paper's per-family strategies, whose probe runs stay near-linear in n.
+/// Builds one evaluation plan at roughly the requested universe size:
+/// `SequentialScan` and `RandomScan` on Maj, Grid and Tree at every size
+/// (each probe is one O(height) delta-evaluator update, so scans stay cheap
+/// at n ≈ 16k), plus the paper's per-family strategies above n = 256.
 fn plan_at(hint: usize, trials: usize, seed: u64) -> EvalPlan {
     let mut plan = EvalPlan::new(seed).trials(trials);
-    if hint <= 256 {
-        let scan = universal_strategy(SequentialScan::new());
-        for entry in catalogue() {
-            if matches!(entry.family, "Maj" | "Grid" | "Tree") {
-                let system = erase_system((entry.build)(hint));
-                plan.probe(&system, &scan, ColoringSource::iid(0.3));
-                plan.probe(&system, &scan, ColoringSource::iid(0.5));
+    let scans = [
+        universal_strategy(SequentialScan::new()),
+        universal_strategy(RandomScan::new()),
+    ];
+    for entry in catalogue() {
+        if matches!(entry.family, "Maj" | "Grid" | "Tree") {
+            let system = erase_system((entry.build)(hint));
+            for scan in &scans {
+                plan.probe(&system, scan, ColoringSource::iid(0.3));
+                plan.probe(&system, scan, ColoringSource::iid(0.5));
             }
         }
-    } else {
+    }
+    if hint > 256 {
         let maj = erase_system(Majority::new(hint | 1).unwrap());
         let probe_maj = typed_strategy::<Majority, _>(ProbeMaj::new());
         let height = (hint as f64).log2().ceil() as usize;
