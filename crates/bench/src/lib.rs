@@ -1524,17 +1524,14 @@ pub fn compose(config: &ReproConfig) -> Table {
         .into_iter()
         .next()
         .expect("the scenario battery is non-empty");
-    let cell = NetWorkloadCell {
-        system: erase_spec(&org_spec).expect("valid spec"),
-        strategy: WorkloadStrategy::Paper(universal_strategy(SequentialScan::new())),
-        source: ColoringSource::iid(0.05),
-        workload: "open-poisson".into(),
-        config: workload_config,
-        net: scenario.name.to_string(),
-        network: scenario.network.clone(),
-        policy: scenario.policy,
-        health: None,
-    };
+    let cell = NetWorkloadCell::new(
+        erase_spec(&org_spec).expect("valid spec"),
+        WorkloadStrategy::Paper(universal_strategy(SequentialScan::new())),
+        ColoringSource::iid(0.05),
+        "open-poisson",
+        workload_config,
+        &scenario,
+    );
     let outcome = run_live_cell(base_seed ^ 0x11fe, 0, &cell, &options);
     if !outcome.agreement.agree {
         eprintln!(
@@ -1564,7 +1561,9 @@ pub fn compose(config: &ReproConfig) -> Table {
 /// The heavy-traffic **workload** experiment: three system families under
 /// {paper strategy, least-loaded, power-of-two} × {open-loop Poisson,
 /// closed-loop think-time} arrivals × two failure scenarios, executed on the
-/// cluster's discrete-event workload engine.
+/// cluster's discrete-event workload engine over the `clean` network
+/// scenario (the paper's oracle model: no message faults, one attempt per
+/// probe).
 ///
 /// Each row reports virtual-time throughput, p50/p95/p99 session latency,
 /// mean probes per session and the per-node load-imbalance factor. All
@@ -1608,20 +1607,23 @@ pub fn workload(config: &ReproConfig) -> Table {
             WorkloadStrategy::PowerOfTwo,
         ] {
             for (name, workload_config) in &workloads {
+                let clean = &network_scenarios(system.universe_size(), workload_config)[0];
                 for source in &scenarios {
-                    cells.push(WorkloadCell {
-                        system: system.clone(),
-                        strategy: strategy.clone(),
-                        source: source.clone(),
-                        workload: (*name).to_string(),
-                        config: *workload_config,
-                    });
+                    cells.push(NetWorkloadCell::new(
+                        system.clone(),
+                        strategy.clone(),
+                        source.clone(),
+                        *name,
+                        *workload_config,
+                        clean,
+                    ));
                 }
             }
         }
     }
 
-    let outcomes = run_workload_cells(&config.engine(), config.section_seed("workload"), &cells);
+    let outcomes =
+        run_net_workload_cells(&config.engine(), config.section_seed("workload"), &cells);
     outcomes_table(&outcomes)
 }
 
@@ -1637,8 +1639,8 @@ pub fn workload(config: &ReproConfig) -> Table {
 /// every faulty scenario runs twice — once with the **naive** single-attempt
 /// policy and once with the scenario's recommended robust policy — so each
 /// row pair shows what retries and hedging buy. The `clean` rows are the
-/// control: they are produced by exactly the latency-only engine's code path
-/// and match [`workload`]-style cells bit for bit.
+/// control: they run on the scenario every [`workload`] cell runs on (no
+/// message faults, one attempt per probe).
 ///
 /// Rows report ok-rate (sessions that located a quorum in their *observed*
 /// coloring), virtual-time throughput, p50/p95/p99 session latency, probes,
@@ -1676,15 +1678,15 @@ pub fn network(config: &ReproConfig) -> Table {
             }
             for policy in policies {
                 cells.push(NetWorkloadCell {
-                    system: system.clone(),
-                    strategy: WorkloadStrategy::Paper(Arc::clone(paper)),
-                    source: ColoringSource::iid(0.05),
-                    workload: "open-poisson".into(),
-                    config: workload_config,
-                    net: scenario.name.to_string(),
-                    network: scenario.network.clone(),
                     policy,
-                    health: None,
+                    ..NetWorkloadCell::new(
+                        system.clone(),
+                        WorkloadStrategy::Paper(Arc::clone(paper)),
+                        ColoringSource::iid(0.05),
+                        "open-poisson",
+                        workload_config,
+                        &scenario,
+                    )
                 });
             }
         }
@@ -1754,17 +1756,14 @@ pub fn live(config: &ReproConfig) -> (Table, Table) {
     for (system, paper) in &systems {
         let n = system.universe_size();
         for scenario in network_scenarios(n, &workload_config) {
-            let cell = NetWorkloadCell {
-                system: system.clone(),
-                strategy: WorkloadStrategy::Paper(Arc::clone(paper)),
-                source: ColoringSource::iid(0.05),
-                workload: "open-poisson".into(),
-                config: workload_config,
-                net: scenario.name.to_string(),
-                network: scenario.network.clone(),
-                policy: scenario.policy,
-                health: None,
-            };
+            let cell = NetWorkloadCell::new(
+                system.clone(),
+                WorkloadStrategy::Paper(Arc::clone(paper)),
+                ColoringSource::iid(0.05),
+                "open-poisson",
+                workload_config,
+                &scenario,
+            );
             let outcome = run_live_cell(seed, index, &cell, &options);
             index += 1;
             if !outcome.agreement.agree {
@@ -1901,17 +1900,14 @@ pub fn chaos(config: &ReproConfig) -> (Table, Table) {
         let n = system.universe_size();
         for scenario in chaos_scenarios(n, &workload_config) {
             for health in [None, Some(HealthConfig::default())] {
-                let mut cell = NetWorkloadCell {
-                    system: system.clone(),
-                    strategy: WorkloadStrategy::Paper(Arc::clone(paper)),
-                    source: ColoringSource::iid(0.05),
-                    workload: "open-poisson".into(),
-                    config: workload_config,
-                    net: scenario.name.to_string(),
-                    network: scenario.network.clone(),
-                    policy: scenario.policy,
-                    health: None,
-                };
+                let mut cell = NetWorkloadCell::new(
+                    system.clone(),
+                    WorkloadStrategy::Paper(Arc::clone(paper)),
+                    ColoringSource::iid(0.05),
+                    "open-poisson",
+                    workload_config,
+                    &scenario,
+                );
                 if let Some(breaker) = health {
                     cell = cell.with_health(breaker);
                 }

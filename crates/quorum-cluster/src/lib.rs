@@ -70,6 +70,6 @@ pub use spec::{
 };
 pub use time::SimTime;
 pub use workload::{
-    ArrivalProcess, Distribution, LoadLedger, NetProbe, NetSessionPlan, SessionPlan,
-    WorkloadConfig, WorkloadReport,
+    ArrivalProcess, Distribution, LoadLedger, NetProbe, NetSessionPlan, WorkloadConfig,
+    WorkloadReport,
 };

@@ -305,8 +305,7 @@ impl PartitionSchedule {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NetworkModel {
     /// One-way delay of each delivered message; `None` uses the workload's
-    /// configured RPC latency (keeping the clean model bit-identical to the
-    /// latency-only engine).
+    /// configured RPC latency (the clean model's choice).
     pub delay: Option<Distribution>,
     /// Probability (in parts per million) that any single message is lost.
     pub loss_ppm: u32,
@@ -318,8 +317,9 @@ pub struct NetworkModel {
 
 impl NetworkModel {
     /// A perfect network: no loss, no partitions, workload-configured delay.
-    /// Under this model the message-level engine reproduces the latency-only
-    /// engine bit for bit.
+    /// It draws no randomness, so with [`ProbePolicy::sequential`] it is the
+    /// paper's oracle model: a live element answers first try and a dead one
+    /// is one unanswered request.
     pub fn clean() -> Self {
         NetworkModel {
             delay: None,
@@ -441,8 +441,7 @@ pub struct ProbePolicy {
 }
 
 impl ProbePolicy {
-    /// The oracle-flavoured policy of the latency-only engine: one attempt,
-    /// no backoff, no hedging.
+    /// The oracle-flavoured policy: one attempt, no backoff, no hedging.
     pub fn sequential() -> Self {
         ProbePolicy {
             attempts: 1,

@@ -3,8 +3,7 @@
 //! virtual-time simulator and the real-concurrency live runtime from the
 //! same [`NetSessionPlan`] / [`ProbePolicy`] types.
 //!
-//! [`WorkloadSpec::run`] takes message-level plans and
-//! [`WorkloadSpec::run_plans`] latency-only ones; `quorum-sim`'s cell
+//! [`WorkloadSpec::run`] takes message-level plans; `quorum-sim`'s cell
 //! runners build on the same spec.
 //!
 //! The backend axis is where the API earns its keep:
@@ -31,8 +30,8 @@ use rand::rngs::StdRng;
 use crate::live::{run_live, LiveOptions, LiveReport};
 use crate::network::{NetworkModel, ProbePolicy};
 use crate::workload::{
-    run_net_engine, ArrivalProcess, Distribution, LoadLedger, NetSessionPlan, SessionPlan,
-    WorkloadConfig, WorkloadReport,
+    run_net_engine, ArrivalProcess, Distribution, LoadLedger, NetSessionPlan, WorkloadConfig,
+    WorkloadReport,
 };
 use crate::{NodeId, SimTime};
 
@@ -345,7 +344,7 @@ impl SpecReport {
 ///
 /// ```
 /// use quorum_cluster::spec::{Backend, WorkloadSpec};
-/// use quorum_cluster::workload::{ArrivalProcess, NetSessionPlan, SessionPlan};
+/// use quorum_cluster::workload::{ArrivalProcess, NetProbe, NetSessionPlan};
 /// use quorum_cluster::SimTime;
 ///
 /// let spec = WorkloadSpec::new(5)
@@ -354,12 +353,15 @@ impl SpecReport {
 ///         mean_interarrival: SimTime::from_micros(300),
 ///     })
 ///     .backend(Backend::Sim);
-/// let outcome = spec.run(7, |_, _, _, _| {
-///     NetSessionPlan::from_plan(SessionPlan {
-///         sequence: vec![0, 1, 2],
-///         colors: vec![quorum_core::Color::Green; 3],
-///         success: true,
-///     })
+/// let outcome = spec.run(7, |_, _, _, _| NetSessionPlan {
+///     probes: (0..3)
+///         .map(|node| NetProbe {
+///             node,
+///             observed: quorum_core::Color::Green,
+///             failures: Vec::new(),
+///         })
+///         .collect(),
+///     success: true,
 /// });
 /// assert_eq!(outcome.report.sessions, 40);
 /// ```
@@ -567,22 +569,6 @@ impl WorkloadSpec {
                 }
             }
         }
-    }
-
-    /// Runs the spec on latency-only plans: green probes answer first try,
-    /// red probes are one unanswered attempt (each costs the probe timeout).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configuration is invalid or a plan's `colors` length
-    /// does not match its `sequence`.
-    pub fn run_plans<F>(&self, seed: u64, mut session: F) -> SpecReport
-    where
-        F: FnMut(u64, &LoadLedger, SimTime) -> SessionPlan,
-    {
-        self.run(seed, |index, ledger, now, _rng| {
-            NetSessionPlan::from_plan(session(index, ledger, now))
-        })
     }
 }
 

@@ -34,10 +34,11 @@
 //! coloring; the engine turns them into interleaved, queued, timed RPCs.
 //! Everything is a pure function of the seed and the supplied closure, so
 //! runs are bit-reproducible. The entry point is
-//! [`WorkloadSpec`](crate::spec::WorkloadSpec): `run` takes message-level
-//! plans, and `run_plans` takes latency-only [`SessionPlan`]s and prices
-//! them on a [`NetworkModel::clean`] network with the
-//! [`ProbePolicy::sequential`] policy.
+//! [`WorkloadSpec::run`](crate::spec::WorkloadSpec::run), which takes
+//! [`NetSessionPlan`]s. The paper's oracle model is the special case of a
+//! [`NetworkModel::clean`] network and the [`ProbePolicy::sequential`]
+//! policy: a green probe answers first try, and a red probe is one
+//! unanswered request.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
@@ -344,24 +345,6 @@ impl LoadLedger {
     }
 }
 
-/// What one client session will do, decided by the caller's session closure:
-/// the probe order its strategy chose and the color each probe will observe.
-///
-/// This is the latency-only plan of
-/// [`WorkloadSpec::run_plans`](crate::spec::WorkloadSpec::run_plans); the
-/// message-level engine works on [`NetSessionPlan`]s, which add per-attempt
-/// fates.
-#[derive(Debug, Clone)]
-pub struct SessionPlan {
-    /// The elements to probe, in order.
-    pub sequence: Vec<NodeId>,
-    /// The color each probe observes (`Green` = served, `Red` = timeout).
-    /// Must have the same length as `sequence`.
-    pub colors: Vec<Color>,
-    /// Whether the session located a live quorum.
-    pub success: bool,
-}
-
 /// One probe of a message-level session plan: the element, the color the
 /// client ends up recording, and the transit fate of each failed attempt.
 #[derive(Debug, Clone)]
@@ -388,39 +371,6 @@ pub struct NetSessionPlan {
     pub probes: Vec<NetProbe>,
     /// Whether the session located a live quorum *in its observed coloring*.
     pub success: bool,
-}
-
-impl NetSessionPlan {
-    /// Adapts a latency-only [`SessionPlan`]: green probes answer first try,
-    /// red probes are one unanswered attempt — the oracle semantics of the
-    /// pre-network engine.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the plan's `colors` length does not match its `sequence`.
-    pub fn from_plan(plan: SessionPlan) -> Self {
-        assert_eq!(
-            plan.sequence.len(),
-            plan.colors.len(),
-            "session plan colors must align with its probe sequence"
-        );
-        NetSessionPlan {
-            probes: plan
-                .sequence
-                .into_iter()
-                .zip(plan.colors)
-                .map(|(node, observed)| NetProbe {
-                    node,
-                    observed,
-                    failures: match observed {
-                        Color::Green => Vec::new(),
-                        Color::Red => vec![AttemptLoss::Request],
-                    },
-                })
-                .collect(),
-            success: plan.success,
-        }
-    }
 }
 
 /// The measured outcome of one workload run.
@@ -890,19 +840,38 @@ mod tests {
         }
     }
 
-    /// A session closure probing a Majority system on an all-green universe.
-    fn maj_sessions(n: usize) -> impl FnMut(u64, &LoadLedger, SimTime) -> SessionPlan {
-        let maj = Majority::new(n).unwrap();
-        move |session, _ledger, _now| {
-            let coloring = Coloring::all_green(maj.universe_size());
-            let mut rng = StdRng::seed_from_u64(session);
-            let run = run_strategy(&maj, &SequentialScan::new(), &coloring, &mut rng);
-            SessionPlan {
-                colors: run.sequence.iter().map(|&e| coloring.color(e)).collect(),
-                sequence: run.sequence,
-                success: run.witness.is_green(),
-            }
+    /// The oracle-model plan of a sequential scan over Maj(n) on `coloring`:
+    /// green probes answer first try, red probes are one lost request.
+    fn maj_plan(maj: &Majority, coloring: &Coloring, session: u64) -> NetSessionPlan {
+        let mut rng = StdRng::seed_from_u64(session);
+        let run = run_strategy(maj, &SequentialScan::new(), coloring, &mut rng);
+        NetSessionPlan {
+            probes: run
+                .sequence
+                .iter()
+                .map(|&node| {
+                    let observed = coloring.color(node);
+                    NetProbe {
+                        node,
+                        observed,
+                        failures: match observed {
+                            Color::Green => Vec::new(),
+                            Color::Red => vec![AttemptLoss::Request],
+                        },
+                    }
+                })
+                .collect(),
+            success: run.witness.is_green(),
         }
+    }
+
+    /// A session closure probing a Majority system on an all-green universe.
+    fn maj_sessions(
+        n: usize,
+    ) -> impl FnMut(u64, &LoadLedger, SimTime, &mut StdRng) -> NetSessionPlan {
+        let maj = Majority::new(n).unwrap();
+        let coloring = Coloring::all_green(maj.universe_size());
+        move |session, _ledger, _now, _rng| maj_plan(&maj, &coloring, session)
     }
 
     #[test]
@@ -916,7 +885,7 @@ mod tests {
         );
         let report = WorkloadSpec::new(n)
             .config(config)
-            .run_plans(1, maj_sessions(n))
+            .run(1, maj_sessions(n))
             .report;
         assert_eq!(report.sessions, 200);
         assert_eq!(report.successes, 200);
@@ -954,7 +923,7 @@ mod tests {
         );
         let report = WorkloadSpec::new(n)
             .config(config)
-            .run_plans(2, maj_sessions(n))
+            .run(2, maj_sessions(n))
             .report;
         assert_eq!(report.sessions, 60);
         // At most `clients` sessions in flight ⇒ a node's backlog can never
@@ -979,18 +948,18 @@ mod tests {
         );
         let a = WorkloadSpec::new(n)
             .config(config)
-            .run_plans(9, maj_sessions(n))
+            .run(9, maj_sessions(n))
             .report;
         let b = WorkloadSpec::new(n)
             .config(config)
-            .run_plans(9, maj_sessions(n))
+            .run(9, maj_sessions(n))
             .report;
         assert_eq!(a.duration, b.duration);
         assert_eq!(a.latency, b.latency);
         assert_eq!(a.ledger.probes_received(), b.ledger.probes_received());
         let c = WorkloadSpec::new(n)
             .config(config)
-            .run_plans(10, maj_sessions(n))
+            .run(10, maj_sessions(n))
             .report;
         assert_ne!(a.duration, c.duration, "a different seed must differ");
     }
@@ -1014,11 +983,11 @@ mod tests {
         );
         let calm = WorkloadSpec::new(n)
             .config(relaxed)
-            .run_plans(3, maj_sessions(n))
+            .run(3, maj_sessions(n))
             .report;
         let hot = WorkloadSpec::new(n)
             .config(slammed)
-            .run_plans(3, maj_sessions(n))
+            .run(3, maj_sessions(n))
             .report;
         let hot_p99 = hot.latency.p99().unwrap();
         let calm_p99 = calm.latency.p99().unwrap();
@@ -1044,14 +1013,8 @@ mod tests {
         let coloring = Coloring::from_fn(n, |e| if e == 0 { Color::Red } else { Color::Green });
         let report = WorkloadSpec::new(n)
             .config(config)
-            .run_plans(4, |session, _ledger, _now| {
-                let mut rng = StdRng::seed_from_u64(session);
-                let run = run_strategy(&maj, &SequentialScan::new(), &coloring, &mut rng);
-                SessionPlan {
-                    colors: run.sequence.iter().map(|&e| coloring.color(e)).collect(),
-                    sequence: run.sequence,
-                    success: run.witness.is_green(),
-                }
+            .run(4, |session, _ledger, _now, _rng| {
+                maj_plan(&maj, &coloring, session)
             })
             .report;
         assert_eq!(report.sessions, 20);
@@ -1126,41 +1089,6 @@ mod tests {
             (tail_rate - 0.1).abs() < 0.03,
             "straggler rate {tail_rate} should be ≈ 0.1"
         );
-    }
-
-    /// The clean network + sequential policy path through the message-level
-    /// engine is the old engine: same draws, same timeline, plus the new
-    /// message counters.
-    #[test]
-    fn net_engine_on_clean_network_equals_latency_engine() {
-        let n = 7;
-        let config = lan_config(
-            ArrivalProcess::OpenPoisson {
-                mean_interarrival: SimTime::from_micros(300),
-            },
-            150,
-        );
-        let direct = WorkloadSpec::new(n)
-            .config(config)
-            .run_plans(11, maj_sessions(n))
-            .report;
-        let mut inner = maj_sessions(n);
-        let via_net = WorkloadSpec::new(n)
-            .config(config)
-            .network(NetworkModel::clean())
-            .policy(ProbePolicy::sequential())
-            .run(11, |index, ledger, now, _rng| {
-                NetSessionPlan::from_plan(inner(index, ledger, now))
-            })
-            .report;
-        assert_eq!(direct.duration, via_net.duration);
-        assert_eq!(direct.latency, via_net.latency);
-        assert_eq!(direct.probes, via_net.probes);
-        assert_eq!(
-            direct.ledger.probes_received(),
-            via_net.ledger.probes_received()
-        );
-        assert_eq!(direct.messages, via_net.messages);
     }
 
     /// Retried attempts charge timeouts and backoff; response-lost attempts
@@ -1338,28 +1266,9 @@ mod tests {
         };
         let _ = WorkloadSpec::new(3)
             .config(config)
-            .run_plans(0, |_, _, _| SessionPlan {
-                sequence: vec![],
-                colors: vec![],
+            .run(0, |_, _, _, _| NetSessionPlan {
+                probes: vec![],
                 success: false,
-            });
-    }
-
-    #[test]
-    #[should_panic(expected = "colors must align")]
-    fn misaligned_plans_are_rejected() {
-        let config = lan_config(
-            ArrivalProcess::OpenPoisson {
-                mean_interarrival: SimTime::from_millis(1),
-            },
-            1,
-        );
-        let _ = WorkloadSpec::new(3)
-            .config(config)
-            .run_plans(0, |_, _, _| SessionPlan {
-                sequence: vec![0, 1],
-                colors: vec![Color::Green],
-                success: true,
             });
     }
 

@@ -13,10 +13,9 @@
 //!   element fares in transit — which leg of which attempt was dropped, and
 //!   the color the client ultimately records.
 //! * [`observed_coloring`] folds per-element fates over a true coloring to
-//!   produce the coloring the client actually sees.
-//! * [`run_strategy_with_faults`] runs any [`ProbeStrategy`] against that
-//!   observed coloring and returns the run together with the per-probe
-//!   fates, ready to be priced by a message-level network simulator (see
+//!   produce the coloring the client actually sees. A strategy then runs
+//!   against that observed coloring, and the fates of the elements it
+//!   probed are priced by a message-level network simulator (see
 //!   `quorum-cluster`'s workload engine).
 //!
 //! The fate of an element is decided by a caller-supplied closure, so this
@@ -25,10 +24,6 @@
 //! observed green answered on the attempt after its recorded failures.
 
 use quorum_core::{Color, Coloring, ElementId};
-use rand::RngCore;
-
-use crate::runner::{run_strategy, ProbeRun, ProbeStrategy};
-use quorum_core::QuorumSystem;
 
 /// Which leg of a probe attempt the network dropped.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -136,56 +131,9 @@ where
     (Coloring::from_colors(colors), fates)
 }
 
-/// A probe run executed through a faulty observation channel.
-#[derive(Debug, Clone)]
-pub struct FaultySessionRun {
-    /// The run against the observed coloring (sequence, witness, count).
-    pub run: ProbeRun,
-    /// The coloring the client observed.
-    pub observed: Coloring,
-    /// The fate of each probed element, aligned with `run.sequence`.
-    pub fates: Vec<ProbeFate>,
-}
-
-/// Runs `strategy` against the coloring observed through `fate`, returning
-/// the run plus the per-probe fates.
-///
-/// The witness verifies against the *observed* coloring: under message loss
-/// or partitions it may disagree with the true world (a live quorum declared
-/// dead), which is exactly the degradation a network experiment measures.
-pub fn run_strategy_with_faults<S, T, F>(
-    system: &S,
-    strategy: &T,
-    truth: &Coloring,
-    fate: F,
-    rng: &mut dyn RngCore,
-) -> FaultySessionRun
-where
-    S: QuorumSystem + ?Sized,
-    T: ProbeStrategy<S> + ?Sized,
-    F: FnMut(ElementId, Color) -> ProbeFate,
-{
-    let (observed, mut all_fates) = observed_coloring(truth, fate);
-    let run = run_strategy(system, strategy, &observed, rng);
-    let fates = run
-        .sequence
-        .iter()
-        .map(|&e| std::mem::replace(&mut all_fates[e], ProbeFate::answered()))
-        .collect();
-    FaultySessionRun {
-        run,
-        observed,
-        fates,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::strategies::SequentialScan;
-    use quorum_systems::Majority;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     #[test]
     fn fates_report_their_attempt_counts() {
@@ -235,36 +183,5 @@ mod tests {
     fn dead_elements_cannot_answer() {
         let truth = Coloring::all_red(2);
         let _ = observed_coloring(&truth, |_, _| ProbeFate::answered());
-    }
-
-    #[test]
-    fn faulty_runs_align_fates_with_the_sequence() {
-        let maj = Majority::new(5).unwrap();
-        let truth = Coloring::all_green(5);
-        let mut rng = StdRng::seed_from_u64(1);
-        // Element 0 looks dead after two lost attempts: the scan must probe
-        // one extra element to assemble a majority.
-        let session = run_strategy_with_faults(
-            &maj,
-            &SequentialScan::new(),
-            &truth,
-            |e, _| {
-                if e == 0 {
-                    ProbeFate {
-                        observed: Color::Red,
-                        failures: vec![AttemptLoss::Request, AttemptLoss::Response],
-                    }
-                } else {
-                    ProbeFate::answered()
-                }
-            },
-            &mut rng,
-        );
-        assert!(session.run.witness.is_green());
-        assert_eq!(session.run.sequence, vec![0, 1, 2, 3]);
-        assert_eq!(session.fates.len(), session.run.sequence.len());
-        assert_eq!(session.fates[0].observed, Color::Red);
-        assert_eq!(session.fates[0].attempts(), 2);
-        assert_eq!(session.observed.color(0), Color::Red);
     }
 }

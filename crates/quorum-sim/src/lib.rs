@@ -13,7 +13,7 @@
 //! (`base_seed, cell, trial → TrialRng`), so every report is bit-identical
 //! regardless of thread count. The [`batch`] module adds word-parallel
 //! estimators that evaluate 64 trials per word pass for monotone systems,
-//! and the [`workload`] module runs heavy-traffic [`WorkloadCell`]s on the
+//! and the [`workload`] module runs heavy-traffic [`NetWorkloadCell`]s on the
 //! cluster's discrete-event scheduler (concurrent sessions, service queues,
 //! load-aware probing) with the same thread-count-invariant guarantee. The
 //! classic entry points below ([`estimate_expected_probes`],
@@ -69,7 +69,7 @@ pub use report::Table;
 pub use workload::{
     chaos_recovery_micros, chaos_scenarios, closed_loop_workload, net_outcomes_table,
     network_scenarios, open_poisson_workload, outcomes_table, run_live_cell,
-    run_net_workload_cells, run_workload_cells, standard_workloads, LiveCellOutcome, NetScenario,
-    NetWorkloadCell, NetWorkloadOutcome, WorkloadCell, WorkloadOutcome, WorkloadStrategy,
+    run_net_workload_cells, standard_workloads, LiveCellOutcome, NetScenario, NetWorkloadCell,
+    NetWorkloadOutcome, WorkloadStrategy,
 };
 pub use worstcase::{estimate_worst_case, worst_case_over_colorings};

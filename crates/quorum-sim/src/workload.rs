@@ -5,20 +5,25 @@
 //! The probe-count engine ([`crate::eval`]) answers *how many probes* a
 //! strategy needs; this module answers how a strategy behaves **under
 //! traffic**: many concurrent client sessions, per-node service queues, and
-//! load-aware probe ordering. Each [`WorkloadCell`] runs one complete
+//! load-aware probe ordering. Each [`NetWorkloadCell`] runs one complete
 //! workload simulation — sequential inside, so the discrete-event timeline is
 //! exact — and cells run in parallel across the engine's rayon pool. Every
 //! cell is a pure function of `(base_seed, cell index, cell spec)`, so the
 //! resulting rows are bit-identical for any worker-thread count, like the
 //! rest of the evaluation engine.
+//!
+//! A cell always runs through a network scenario ([`NetScenario`]). The
+//! paper's oracle model — a live element answers first try, a dead one is a
+//! single timed-out request — is the `clean` scenario of
+//! [`network_scenarios`]: [`NetworkModel::clean`] with the
+//! [`ProbePolicy::sequential`] policy.
 
 use std::sync::Arc;
 
-use quorum_analysis::load_imbalance;
 use quorum_cluster::{
     AgreementReport, ArrivalProcess, Backend, ChaosSchedule, Distribution, LiveOptions, LiveReport,
-    NetProbe, NetSessionPlan, NetworkModel, PartitionSchedule, ProbePolicy, SessionPlan,
-    SessionTrace, SimTime, SpecReport, WorkloadConfig, WorkloadSpec,
+    NetProbe, NetSessionPlan, NetworkModel, PartitionSchedule, ProbePolicy, SessionTrace, SimTime,
+    SpecReport, WorkloadConfig, WorkloadSpec,
 };
 use quorum_core::{Color, Coloring};
 use quorum_probe::session::{observed_coloring, ProbeFate};
@@ -57,57 +62,6 @@ impl std::fmt::Debug for WorkloadStrategy {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "WorkloadStrategy({})", self.label())
     }
-}
-
-/// One workload simulation: a system probed by a strategy under a failure
-/// scenario and an arrival/service model.
-#[derive(Clone)]
-pub struct WorkloadCell {
-    /// The quorum system under load.
-    pub system: DynSystem,
-    /// The probe strategy serving the sessions.
-    pub strategy: WorkloadStrategy,
-    /// The failure scenario: session `s` observes the scenario's trial-`s`
-    /// coloring, so strategies sharing a cell index and seed are compared on
-    /// identical failure timelines.
-    pub source: ColoringSource,
-    /// A short name for the arrival/service model (e.g. `"open-lan"`).
-    pub workload: String,
-    /// The arrival, latency, service and timeout model.
-    pub config: WorkloadConfig,
-}
-
-/// The deterministic summary of one executed [`WorkloadCell`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct WorkloadOutcome {
-    /// System label.
-    pub system: String,
-    /// Universe size.
-    pub universe_size: usize,
-    /// Strategy label.
-    pub strategy: String,
-    /// Workload label.
-    pub workload: String,
-    /// Failure-scenario label.
-    pub scenario: String,
-    /// Sessions completed.
-    pub sessions: usize,
-    /// Fraction of sessions that located a live quorum.
-    pub success_rate: f64,
-    /// Completed sessions per second of virtual time.
-    pub throughput_per_sec: f64,
-    /// Median session latency, microseconds of virtual time.
-    pub p50_us: u64,
-    /// 95th-percentile session latency.
-    pub p95_us: u64,
-    /// 99th-percentile session latency.
-    pub p99_us: u64,
-    /// Mean probes per session.
-    pub probes_per_session: f64,
-    /// Load-imbalance factor (max/mean probes per node).
-    pub imbalance: f64,
-    /// Highest backlog any node reached.
-    pub peak_backlog: usize,
 }
 
 /// A LAN-ish open-loop workload: Poisson arrivals at the given mean
@@ -154,105 +108,10 @@ pub fn standard_workloads(sessions: usize) -> Vec<(&'static str, WorkloadConfig)
     ]
 }
 
-/// Executes one cell. Sequential inside (the discrete-event timeline is a
-/// strict total order); pure in `(base_seed, cell_index, cell)`.
-fn run_cell(base_seed: u64, cell_index: u64, cell: &WorkloadCell) -> WorkloadOutcome {
-    let n = cell.system.universe_size();
-    // Only the load-aware strategies read the view; paper cells skip both
-    // the allocation and the per-session score refresh below.
-    let view = match &cell.strategy {
-        WorkloadStrategy::Paper(_) => None,
-        WorkloadStrategy::LeastLoaded | WorkloadStrategy::PowerOfTwo => Some(LoadView::new(n)),
-    };
-    let strategy: DynProbeStrategy = match (&cell.strategy, &view) {
-        (WorkloadStrategy::Paper(strategy), _) => Arc::clone(strategy),
-        (WorkloadStrategy::LeastLoaded, Some(view)) => {
-            universal_strategy(LeastLoadedScan::new(view.clone()))
-        }
-        (WorkloadStrategy::PowerOfTwo, Some(view)) => {
-            universal_strategy(PowerOfTwoScan::new(view.clone()))
-        }
-        _ => unreachable!("load-aware strategies always carry a view"),
-    };
-    assert!(
-        strategy.supports(cell.system.as_ref()),
-        "strategy {} does not support system {}",
-        strategy.name(),
-        cell.system.name()
-    );
-
-    // The engine's own randomness (latencies, service times, arrivals) is
-    // seeded per cell; each session's strategy/scenario randomness derives
-    // from (base_seed, cell, session) exactly like an eval-plan trial.
-    let engine_seed = base_seed
-        .rotate_left(17)
-        .wrapping_add((cell_index + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-    let mut scratch = Coloring::all_green(n);
-    let report = WorkloadSpec::new(n)
-        .config(cell.config)
-        .run_plans(engine_seed, |session, ledger, now| {
-            // Publish the ledger's current scores so load-aware strategies
-            // see the backlog this session would join.
-            if let Some(view) = &view {
-                for e in 0..n {
-                    view.set(e, ledger.score(e, now));
-                }
-            }
-            let mut rng = derive_rng(base_seed, cell_index, session);
-            cell.source.sample_into(n, session, &mut rng, &mut scratch);
-            let run = strategy.run(cell.system.as_ref(), &scratch, &mut rng);
-            SessionPlan {
-                colors: run.sequence.iter().map(|&e| scratch.color(e)).collect(),
-                sequence: run.sequence,
-                success: run.witness.is_green(),
-            }
-        })
-        .report;
-
-    let peak_backlog = (0..n)
-        .map(|e| report.ledger.peak_backlog(e))
-        .max()
-        .unwrap_or(0);
-    WorkloadOutcome {
-        system: cell.system.name(),
-        universe_size: n,
-        strategy: cell.strategy.label(),
-        workload: cell.workload.clone(),
-        scenario: cell.source.label(),
-        sessions: report.sessions,
-        success_rate: report.success_rate(),
-        throughput_per_sec: report.throughput_per_sec(),
-        p50_us: report.latency.p50().unwrap_or(0),
-        p95_us: report.latency.p95().unwrap_or(0),
-        p99_us: report.latency.p99().unwrap_or(0),
-        probes_per_session: report.probes_per_session(),
-        imbalance: load_imbalance(report.ledger.probes_received()),
-        peak_backlog,
-    }
-}
-
-/// Runs every cell, in parallel across the engine's worker pool, returning
-/// outcomes in cell order. Bit-identical for any thread count.
-pub fn run_workload_cells(
-    engine: &EvalEngine,
-    base_seed: u64,
-    cells: &[WorkloadCell],
-) -> Vec<WorkloadOutcome> {
-    let indexed: Vec<(u64, &WorkloadCell)> = cells
-        .iter()
-        .enumerate()
-        .map(|(index, cell)| (index as u64, cell))
-        .collect();
-    engine.install(|| {
-        indexed
-            .into_par_iter()
-            .map(|(index, cell)| run_cell(base_seed, index, cell))
-            .collect()
-    })
-}
-
-/// Renders outcomes as the standard workload table.
-pub fn outcomes_table(outcomes: &[WorkloadOutcome]) -> Table {
+/// Renders outcomes as the standard workload table: the latency-side
+/// columns plus the load-imbalance factor, without the network and policy
+/// columns of [`net_outcomes_table`].
+pub fn outcomes_table(outcomes: &[NetWorkloadOutcome]) -> Table {
     let mut table = Table::new([
         "system",
         "n",
@@ -306,8 +165,9 @@ pub struct NetScenario {
 ///
 /// Partition windows are placed relative to the run's
 /// [`WorkloadConfig::horizon_hint`], so the same scenario scales with the
-/// session count. The `clean` scenario is bit-identical to the latency-only
-/// engine — it is the control row of every network experiment.
+/// session count. The first scenario, `clean`, is the paper's oracle model
+/// (no message faults, one attempt per probe): it is the control row of
+/// every network experiment.
 pub fn network_scenarios(n: usize, config: &WorkloadConfig) -> Vec<NetScenario> {
     let horizon = config.horizon_hint().as_micros();
     let at = |num: u64, den: u64| SimTime::from_micros(horizon * num / den);
@@ -442,17 +302,21 @@ pub fn chaos_scenarios(n: usize, config: &WorkloadConfig) -> Vec<NetScenario> {
     ]
 }
 
-/// One message-level workload simulation: a [`WorkloadCell`] plus the
-/// network-fault scenario it runs through.
+/// One workload simulation: a system probed by a strategy under a failure
+/// scenario, an arrival/service model and the network-fault scenario it runs
+/// through.
 #[derive(Clone)]
 pub struct NetWorkloadCell {
     /// The quorum system under load.
     pub system: DynSystem,
     /// The probe strategy serving the sessions.
     pub strategy: WorkloadStrategy,
-    /// The failure scenario (true crashes, as distinct from network faults).
+    /// The failure scenario (true crashes, as distinct from network faults):
+    /// session `s` observes the scenario's trial-`s` coloring, so strategies
+    /// sharing a cell index and seed are compared on identical failure
+    /// timelines.
     pub source: ColoringSource,
-    /// A short name for the arrival/service model.
+    /// A short name for the arrival/service model (e.g. `"open-poisson"`).
     pub workload: String,
     /// The arrival, latency, service and timeout model.
     pub config: WorkloadConfig,
@@ -470,14 +334,21 @@ pub struct NetWorkloadCell {
 }
 
 impl NetWorkloadCell {
-    /// Lifts a latency-only cell onto a network scenario (health-blind).
-    pub fn from_cell(cell: WorkloadCell, scenario: &NetScenario) -> Self {
+    /// A health-blind cell on `scenario`'s network and policy.
+    pub fn new(
+        system: DynSystem,
+        strategy: WorkloadStrategy,
+        source: ColoringSource,
+        workload: impl Into<String>,
+        config: WorkloadConfig,
+        scenario: &NetScenario,
+    ) -> Self {
         NetWorkloadCell {
-            system: cell.system,
-            strategy: cell.strategy,
-            source: cell.source,
-            workload: cell.workload,
-            config: cell.config,
+            system,
+            strategy,
+            source,
+            workload: workload.into(),
+            config,
             net: scenario.name.to_string(),
             network: scenario.network.clone(),
             policy: scenario.policy,
@@ -542,10 +413,8 @@ pub struct NetWorkloadOutcome {
 }
 
 /// Executes one network cell on the given backend via [`WorkloadSpec`].
-/// Sequential inside; the sim half is pure in `(base_seed, cell_index,
-/// cell)`. Uses the same engine seed derivation as the latency-only
-/// [`run_cell`], so a `clean` network cell reproduces its [`WorkloadCell`]
-/// twin bit for bit.
+/// Sequential inside (the discrete-event timeline is a strict total order);
+/// the sim half is pure in `(base_seed, cell_index, cell)`.
 fn run_net_cell_spec(
     base_seed: u64,
     cell_index: u64,
@@ -553,6 +422,8 @@ fn run_net_cell_spec(
     backend: Backend,
 ) -> (SpecReport, u64) {
     let n = cell.system.universe_size();
+    // Only the load-aware strategies read the view; paper cells skip both
+    // the allocation and the per-session score refresh below.
     let view = match &cell.strategy {
         WorkloadStrategy::Paper(_) => None,
         WorkloadStrategy::LeastLoaded | WorkloadStrategy::PowerOfTwo => Some(LoadView::new(n)),
@@ -574,6 +445,9 @@ fn run_net_cell_spec(
         cell.system.name()
     );
 
+    // The engine's own randomness (latencies, service times, arrivals) is
+    // seeded per cell; each session's strategy/scenario randomness derives
+    // from (base_seed, cell, session) exactly like an eval-plan trial.
     let engine_seed = base_seed
         .rotate_left(17)
         .wrapping_add((cell_index + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15));
@@ -586,6 +460,8 @@ fn run_net_cell_spec(
         .policy(cell.policy)
         .backend(backend)
         .run(engine_seed, |session, ledger, now, net_rng| {
+            // Publish the ledger's current scores so load-aware strategies
+            // see the backlog this session would join.
             if let Some(view) = &view {
                 for e in 0..n {
                     view.set(e, ledger.score(e, now));
@@ -679,7 +555,7 @@ fn net_outcome_from_report(
         probes_per_session: report.probes_per_session(),
         messages_per_session: report.messages_per_session(),
         wasted_fraction: report.wasted_fraction(),
-        imbalance: load_imbalance(report.ledger.probes_received()),
+        imbalance: report.load_imbalance(),
         peak_backlog,
         degraded,
         lost_to_crash: report.lost_to_crash,
@@ -833,7 +709,7 @@ mod tests {
     use quorum_probe::strategies::SequentialScan;
     use quorum_systems::Majority;
 
-    fn maj_cells(sessions: usize) -> Vec<WorkloadCell> {
+    fn maj_cells(sessions: usize) -> Vec<NetWorkloadCell> {
         let system = erase_system(Majority::new(15).unwrap());
         let workloads = standard_workloads(sessions);
         let mut cells = Vec::new();
@@ -843,13 +719,14 @@ mod tests {
             WorkloadStrategy::PowerOfTwo,
         ] {
             for (name, config) in &workloads {
-                cells.push(WorkloadCell {
-                    system: system.clone(),
-                    strategy: strategy.clone(),
-                    source: ColoringSource::iid(0.1),
-                    workload: (*name).to_string(),
-                    config: *config,
-                });
+                cells.push(NetWorkloadCell::new(
+                    system.clone(),
+                    strategy.clone(),
+                    ColoringSource::iid(0.1),
+                    *name,
+                    *config,
+                    &network_scenarios(15, config)[0],
+                ));
             }
         }
         cells
@@ -858,8 +735,8 @@ mod tests {
     #[test]
     fn outcomes_are_thread_count_invariant() {
         let cells = maj_cells(300);
-        let single = run_workload_cells(&EvalEngine::with_threads(1), 42, &cells);
-        let parallel = run_workload_cells(&EvalEngine::with_threads(4), 42, &cells);
+        let single = run_net_workload_cells(&EvalEngine::with_threads(1), 42, &cells);
+        let parallel = run_net_workload_cells(&EvalEngine::with_threads(4), 42, &cells);
         assert_eq!(single, parallel, "workload rows diverged across threads");
         assert_eq!(
             outcomes_table(&single).render(),
@@ -870,7 +747,7 @@ mod tests {
     #[test]
     fn load_aware_strategies_flatten_the_load() {
         let cells = maj_cells(400);
-        let outcomes = run_workload_cells(&EvalEngine::with_threads(0), 7, &cells);
+        let outcomes = run_net_workload_cells(&EvalEngine::with_threads(0), 7, &cells);
         let imbalance_of = |strategy: &str, workload: &str| {
             outcomes
                 .iter()
@@ -899,7 +776,7 @@ mod tests {
     #[test]
     fn outcome_metrics_are_sane() {
         let cells = maj_cells(200);
-        let outcomes = run_workload_cells(&EvalEngine::with_threads(0), 11, &cells);
+        let outcomes = run_net_workload_cells(&EvalEngine::with_threads(0), 11, &cells);
         assert_eq!(outcomes.len(), cells.len());
         for o in &outcomes {
             assert_eq!(o.sessions, 200);
@@ -917,52 +794,18 @@ mod tests {
     fn incompatible_paper_strategy_is_rejected() {
         use quorum_probe::strategies::ProbeCw;
         use quorum_systems::CrumblingWalls;
-        let cell = WorkloadCell {
-            system: erase_system(Majority::new(5).unwrap()),
-            strategy: WorkloadStrategy::Paper(crate::eval::typed_strategy::<CrumblingWalls, _>(
+        let config = open_poisson_workload(10, SimTime::from_micros(200));
+        let cell = NetWorkloadCell::new(
+            erase_system(Majority::new(5).unwrap()),
+            WorkloadStrategy::Paper(crate::eval::typed_strategy::<CrumblingWalls, _>(
                 ProbeCw::new(),
             )),
-            source: ColoringSource::iid(0.1),
-            workload: "open".into(),
-            config: open_poisson_workload(10, SimTime::from_micros(200)),
-        };
-        let _ = run_workload_cells(&EvalEngine::with_threads(1), 1, &[cell]);
-    }
-
-    #[test]
-    fn clean_network_cells_reproduce_latency_cells_bit_for_bit() {
-        // The acceptance guarantee of the message-level engine: lifting a
-        // cell onto the clean scenario changes *nothing* — same engine seed,
-        // same draws, same rows.
-        let cells = maj_cells(200);
-        let plain = run_workload_cells(&EvalEngine::with_threads(0), 42, &cells);
-        let clean = NetScenario {
-            name: "clean",
-            network: NetworkModel::clean(),
-            policy: ProbePolicy::sequential(),
-        };
-        let net_cells: Vec<NetWorkloadCell> = cells
-            .into_iter()
-            .map(|cell| NetWorkloadCell::from_cell(cell, &clean))
-            .collect();
-        let net = run_net_workload_cells(&EvalEngine::with_threads(0), 42, &net_cells);
-        assert_eq!(plain.len(), net.len());
-        for (a, b) in plain.iter().zip(&net) {
-            assert_eq!(
-                a.success_rate, b.success_rate,
-                "{}/{}",
-                a.system, a.workload
-            );
-            assert_eq!(a.throughput_per_sec, b.throughput_per_sec);
-            assert_eq!(
-                (a.p50_us, a.p95_us, a.p99_us),
-                (b.p50_us, b.p95_us, b.p99_us)
-            );
-            assert_eq!(a.probes_per_session, b.probes_per_session);
-            assert_eq!(a.imbalance, b.imbalance);
-            assert_eq!(a.peak_backlog, b.peak_backlog);
-            assert_eq!(b.wasted_fraction, 0.0, "clean networks waste nothing");
-        }
+            ColoringSource::iid(0.1),
+            "open",
+            config,
+            &network_scenarios(5, &config)[0],
+        );
+        let _ = run_net_workload_cells(&EvalEngine::with_threads(1), 1, &[cell]);
     }
 
     #[test]
@@ -972,16 +815,12 @@ mod tests {
         let cells: Vec<NetWorkloadCell> = network_scenarios(15, &config)
             .iter()
             .map(|scenario| {
-                NetWorkloadCell::from_cell(
-                    WorkloadCell {
-                        system: system.clone(),
-                        strategy: WorkloadStrategy::Paper(
-                            universal_strategy(SequentialScan::new()),
-                        ),
-                        source: ColoringSource::iid(0.1),
-                        workload: "open-poisson".into(),
-                        config,
-                    },
+                NetWorkloadCell::new(
+                    system.clone(),
+                    WorkloadStrategy::Paper(universal_strategy(SequentialScan::new())),
+                    ColoringSource::iid(0.1),
+                    "open-poisson",
+                    config,
                     scenario,
                 )
             })
@@ -1046,14 +885,12 @@ mod tests {
         scenario: &NetScenario,
         health: Option<HealthConfig>,
     ) -> NetWorkloadCell {
-        let mut cell = NetWorkloadCell::from_cell(
-            WorkloadCell {
-                system: erase_system(Majority::new(n).unwrap()),
-                strategy: WorkloadStrategy::Paper(universal_strategy(SequentialScan::new())),
-                source: ColoringSource::iid(0.02),
-                workload: "open-poisson".into(),
-                config,
-            },
+        let mut cell = NetWorkloadCell::new(
+            erase_system(Majority::new(n).unwrap()),
+            WorkloadStrategy::Paper(universal_strategy(SequentialScan::new())),
+            ColoringSource::iid(0.02),
+            "open-poisson",
+            config,
             scenario,
         );
         if let Some(config) = health {
@@ -1172,14 +1009,12 @@ mod tests {
             .iter()
             .find(|s| s.name == "asym-split")
             .expect("battery has the asymmetric split");
-        let cell = NetWorkloadCell::from_cell(
-            WorkloadCell {
-                system: system.clone(),
-                strategy: WorkloadStrategy::Paper(universal_strategy(SequentialScan::new())),
-                source: ColoringSource::iid(0.02),
-                workload: "open-poisson".into(),
-                config,
-            },
+        let cell = NetWorkloadCell::new(
+            system.clone(),
+            WorkloadStrategy::Paper(universal_strategy(SequentialScan::new())),
+            ColoringSource::iid(0.02),
+            "open-poisson",
+            config,
             asym,
         );
         let outcome = &run_net_workload_cells(&EvalEngine::with_threads(1), 5, &[cell])[0];

@@ -14,14 +14,14 @@ fn fast_live() -> LiveOptions {
 }
 
 fn tree_cell(sessions: usize, scenario: &NetScenario) -> NetWorkloadCell {
-    let cell = WorkloadCell {
-        system: erase_system(TreeQuorum::new(3).unwrap()),
-        strategy: WorkloadStrategy::Paper(typed_strategy::<TreeQuorum, _>(ProbeTree::new())),
-        source: ColoringSource::iid(0.15),
-        workload: "open-poisson".into(),
-        config: open_poisson_workload(sessions, SimTime::from_micros(250)),
-    };
-    NetWorkloadCell::from_cell(cell, scenario)
+    NetWorkloadCell::new(
+        erase_system(TreeQuorum::new(3).unwrap()),
+        WorkloadStrategy::Paper(typed_strategy::<TreeQuorum, _>(ProbeTree::new())),
+        ColoringSource::iid(0.15),
+        "open-poisson",
+        open_poisson_workload(sessions, SimTime::from_micros(250)),
+        scenario,
+    )
 }
 
 /// The tentpole cross-validation: one trace replayed through the simulator
@@ -177,9 +177,12 @@ fn graceful_shutdown_drains_bounded_queues() {
         })
         .service(Distribution::fixed(SimTime::from_micros(400)))
         .backend(Backend::Live(fast_live().queue_capacity(2)))
-        .run_plans(5, |session, _, _| SessionPlan {
-            sequence: vec![session as usize % 3],
-            colors: vec![Color::Green],
+        .run(5, |session, _, _, _| NetSessionPlan {
+            probes: vec![NetProbe {
+                node: session as usize % 3,
+                observed: Color::Green,
+                failures: Vec::new(),
+            }],
             success: true,
         });
     let live = outcome.live.as_ref().expect("live backend reports");

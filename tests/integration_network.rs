@@ -1,7 +1,6 @@
 //! End-to-end tests of the message-level network layer: partition
-//! schedules, the fault-injection engine, clean-network bit-compatibility
-//! with the latency-only engine, robustness policies, and thread-count
-//! determinism — all through the `probequorum` facade.
+//! schedules, the fault-injection engine, robustness policies, and
+//! thread-count determinism — all through the `probequorum` facade.
 
 use probequorum::prelude::*;
 use proptest::prelude::*;
@@ -13,7 +12,13 @@ fn open_config(sessions: usize) -> WorkloadConfig {
     open_poisson_workload(sessions, SimTime::from_micros(250))
 }
 
-fn paper_cells(sessions: usize) -> Vec<WorkloadCell> {
+/// The paper strategies on Maj(15) and Triang(7), on `network` under
+/// `policy`.
+fn paper_cells(
+    sessions: usize,
+    network: NetworkModel,
+    policy: ProbePolicy,
+) -> Vec<NetWorkloadCell> {
     let pairs: Vec<(DynSystem, DynProbeStrategy)> = vec![
         (
             erase_system(Majority::new(15).unwrap()),
@@ -24,33 +29,21 @@ fn paper_cells(sessions: usize) -> Vec<WorkloadCell> {
             typed_strategy::<CrumblingWalls, _>(ProbeCw::new()),
         ),
     ];
+    let scenario = NetScenario {
+        name: "test",
+        network,
+        policy,
+    };
     pairs
         .into_iter()
-        .map(|(system, paper)| WorkloadCell {
-            system,
-            strategy: WorkloadStrategy::Paper(paper),
-            source: ColoringSource::iid(0.1),
-            workload: "open-poisson".into(),
-            config: open_config(sessions),
-        })
-        .collect()
-}
-
-fn lift(
-    cells: Vec<WorkloadCell>,
-    network: NetworkModel,
-    policy: ProbePolicy,
-) -> Vec<NetWorkloadCell> {
-    cells
-        .into_iter()
-        .map(|cell| {
-            NetWorkloadCell::from_cell(
-                cell,
-                &NetScenario {
-                    name: "test",
-                    network: network.clone(),
-                    policy,
-                },
+        .map(|(system, paper)| {
+            NetWorkloadCell::new(
+                system,
+                WorkloadStrategy::Paper(paper),
+                ColoringSource::iid(0.1),
+                "open-poisson",
+                open_config(sessions),
+                &scenario,
             )
         })
         .collect()
@@ -104,30 +97,6 @@ proptest! {
         prop_assert!(schedule.unreachable_at(n, at).is_empty());
     }
 
-    /// Satellite: a zero-loss / no-partition / no-delay-override network
-    /// reproduces the latency-only workload rows bit for bit, for any seed.
-    #[test]
-    fn clean_network_reproduces_workload_rows_bit_for_bit(seed in 0u64..200) {
-        let engine = EvalEngine::with_threads(1);
-        let plain = run_workload_cells(&engine, seed, &paper_cells(120));
-        let net = run_net_workload_cells(
-            &engine,
-            seed,
-            &lift(paper_cells(120), NetworkModel::clean(), ProbePolicy::sequential()),
-        );
-        for (a, b) in plain.iter().zip(&net) {
-            prop_assert_eq!(a.success_rate, b.success_rate);
-            prop_assert_eq!(a.throughput_per_sec, b.throughput_per_sec);
-            prop_assert_eq!(a.p50_us, b.p50_us);
-            prop_assert_eq!(a.p95_us, b.p95_us);
-            prop_assert_eq!(a.p99_us, b.p99_us);
-            prop_assert_eq!(a.probes_per_session, b.probes_per_session);
-            prop_assert_eq!(a.imbalance, b.imbalance);
-            prop_assert_eq!(a.peak_backlog, b.peak_backlog);
-            prop_assert_eq!(b.wasted_fraction, 0.0);
-        }
-    }
-
     /// Satellite: on a clean network, hedging never decreases the ok-rate
     /// (it only overlaps stalls), for any seed and hedge delay.
     #[test]
@@ -139,14 +108,14 @@ proptest! {
         let plain = run_net_workload_cells(
             &engine,
             seed,
-            &lift(paper_cells(100), NetworkModel::clean(), ProbePolicy::sequential()),
+            &paper_cells(100, NetworkModel::clean(), ProbePolicy::sequential()),
         );
         let hedged_policy =
             ProbePolicy::sequential().with_hedge(SimTime::from_micros(hedge_us));
         let hedged = run_net_workload_cells(
             &engine,
             seed,
-            &lift(paper_cells(100), NetworkModel::clean(), hedged_policy),
+            &paper_cells(100, NetworkModel::clean(), hedged_policy),
         );
         for (p, h) in plain.iter().zip(&hedged) {
             prop_assert!(
@@ -168,16 +137,12 @@ fn network_outcomes_are_bit_identical_across_thread_counts() {
     let cells: Vec<NetWorkloadCell> = network_scenarios(31, &config)
         .iter()
         .map(|scenario| {
-            NetWorkloadCell::from_cell(
-                WorkloadCell {
-                    system: system.clone(),
-                    strategy: WorkloadStrategy::Paper(typed_strategy::<TreeQuorum, _>(
-                        ProbeTree::new(),
-                    )),
-                    source: ColoringSource::iid(0.08),
-                    workload: "open-poisson".into(),
-                    config,
-                },
+            NetWorkloadCell::new(
+                system.clone(),
+                WorkloadStrategy::Paper(typed_strategy::<TreeQuorum, _>(ProbeTree::new())),
+                ColoringSource::iid(0.08),
+                "open-poisson",
+                config,
                 scenario,
             )
         })
@@ -200,25 +165,17 @@ fn loss_degrades_naive_sessions_and_retries_recover_them() {
     let clean = run_net_workload_cells(
         &engine,
         5,
-        &lift(
-            paper_cells(300),
-            NetworkModel::clean(),
-            ProbePolicy::sequential(),
-        ),
+        &paper_cells(300, NetworkModel::clean(), ProbePolicy::sequential()),
     );
     let naive = run_net_workload_cells(
         &engine,
         5,
-        &lift(paper_cells(300), lossy.clone(), ProbePolicy::sequential()),
+        &paper_cells(300, lossy.clone(), ProbePolicy::sequential()),
     );
     let robust = run_net_workload_cells(
         &engine,
         5,
-        &lift(
-            paper_cells(300),
-            lossy,
-            ProbePolicy::retry(4, SimTime::from_micros(200)),
-        ),
+        &paper_cells(300, lossy, ProbePolicy::retry(4, SimTime::from_micros(200))),
     );
     for ((c, n), r) in clean.iter().zip(&naive).zip(&robust) {
         assert!(
@@ -299,16 +256,20 @@ fn asymmetric_split_wastes_served_work_and_flapping_recovers_between_flaps() {
     let config = open_config(300);
     let n = 15usize;
     let scenarios = network_scenarios(n, &config);
-    let base = WorkloadCell {
-        system: erase_system(Majority::new(n).unwrap()),
-        strategy: WorkloadStrategy::Paper(typed_strategy::<Majority, _>(ProbeMaj::new())),
-        source: ColoringSource::iid(0.05),
-        workload: "open-poisson".into(),
-        config,
-    };
+    let system = erase_system(Majority::new(n).unwrap());
+    let paper = typed_strategy::<Majority, _>(ProbeMaj::new());
     let cells: Vec<NetWorkloadCell> = scenarios
         .iter()
-        .map(|s| NetWorkloadCell::from_cell(base.clone(), s))
+        .map(|s| {
+            NetWorkloadCell::new(
+                system.clone(),
+                WorkloadStrategy::Paper(paper.clone()),
+                ColoringSource::iid(0.05),
+                "open-poisson",
+                config,
+                s,
+            )
+        })
         .collect();
     let outcomes = run_net_workload_cells(&EvalEngine::new(), 13, &cells);
     let get = |name: &str| {
@@ -356,11 +317,10 @@ fn hedging_cuts_the_heavy_tail() {
     let naive = run_net_workload_cells(
         &engine,
         3,
-        &lift(paper_cells(400), network.clone(), ProbePolicy::sequential()),
+        &paper_cells(400, network.clone(), ProbePolicy::sequential()),
     );
     let hedged_policy = ProbePolicy::sequential().with_hedge(SimTime::from_millis(1));
-    let hedged =
-        run_net_workload_cells(&engine, 3, &lift(paper_cells(400), network, hedged_policy));
+    let hedged = run_net_workload_cells(&engine, 3, &paper_cells(400, network, hedged_policy));
     for (n, h) in naive.iter().zip(&hedged) {
         assert_eq!(
             h.success_rate, n.success_rate,

@@ -4,9 +4,22 @@
 
 use probequorum::prelude::*;
 
+/// A cell on the `clean` network scenario: the paper's oracle model, where a
+/// live element answers first try and a dead one is one timed-out request.
+fn clean_cell(
+    system: &DynSystem,
+    strategy: WorkloadStrategy,
+    source: ColoringSource,
+    workload: &str,
+    config: WorkloadConfig,
+) -> NetWorkloadCell {
+    let clean = &network_scenarios(system.universe_size(), &config)[0];
+    NetWorkloadCell::new(system.clone(), strategy, source, workload, config, clean)
+}
+
 /// The standard cell block used by these tests: one system, three
 /// strategies, both arrival models, one failure scenario.
-fn cells_for(system: DynSystem, paper: DynProbeStrategy, sessions: usize) -> Vec<WorkloadCell> {
+fn cells_for(system: DynSystem, paper: DynProbeStrategy, sessions: usize) -> Vec<NetWorkloadCell> {
     let mut cells = Vec::new();
     for strategy in [
         WorkloadStrategy::Paper(paper.clone()),
@@ -14,13 +27,13 @@ fn cells_for(system: DynSystem, paper: DynProbeStrategy, sessions: usize) -> Vec
         WorkloadStrategy::PowerOfTwo,
     ] {
         for (name, config) in standard_workloads(sessions) {
-            cells.push(WorkloadCell {
-                system: system.clone(),
-                strategy: strategy.clone(),
-                source: ColoringSource::iid(0.1),
-                workload: name.to_string(),
+            cells.push(clean_cell(
+                &system,
+                strategy.clone(),
+                ColoringSource::iid(0.1),
+                name,
                 config,
-            });
+            ));
         }
     }
     cells
@@ -33,9 +46,9 @@ fn workload_outcomes_are_bit_identical_across_thread_counts() {
         typed_strategy::<CrumblingWalls, _>(ProbeCw::new()),
         250,
     );
-    let single = run_workload_cells(&EvalEngine::with_threads(1), 2001, &cells);
-    let four = run_workload_cells(&EvalEngine::with_threads(4), 2001, &cells);
-    let eight = run_workload_cells(&EvalEngine::with_threads(8), 2001, &cells);
+    let single = run_net_workload_cells(&EvalEngine::with_threads(1), 2001, &cells);
+    let four = run_net_workload_cells(&EvalEngine::with_threads(4), 2001, &cells);
+    let eight = run_net_workload_cells(&EvalEngine::with_threads(8), 2001, &cells);
     assert_eq!(single, four, "1 vs 4 threads diverged");
     assert_eq!(single, eight, "1 vs 8 threads diverged");
     assert_eq!(
@@ -54,7 +67,7 @@ fn load_aware_probing_beats_the_paper_strategy_on_imbalance() {
         typed_strategy::<CrumblingWalls, _>(ProbeCw::new()),
         400,
     );
-    let outcomes = run_workload_cells(&EvalEngine::new(), 7, &cells);
+    let outcomes = run_net_workload_cells(&EvalEngine::new(), 7, &cells);
     for workload in ["open-poisson", "closed-loop"] {
         let get = |strategy: &str| {
             outcomes
@@ -85,14 +98,16 @@ fn open_loop_overload_shows_up_in_the_tail_latency() {
     let sessions = 300;
     let calm_config = open_poisson_workload(sessions, SimTime::from_millis(20));
     let slammed_config = open_poisson_workload(sessions, SimTime::from_micros(40));
-    let build = |label: &str, config| WorkloadCell {
-        system: system.clone(),
-        strategy: WorkloadStrategy::Paper(paper.clone()),
-        source: ColoringSource::iid(0.05),
-        workload: label.to_string(),
-        config,
+    let build = |label: &str, config| {
+        clean_cell(
+            &system,
+            WorkloadStrategy::Paper(paper.clone()),
+            ColoringSource::iid(0.05),
+            label,
+            config,
+        )
     };
-    let outcomes = run_workload_cells(
+    let outcomes = run_net_workload_cells(
         &EvalEngine::new(),
         5,
         &[build("calm", calm_config), build("slammed", slammed_config)],
@@ -118,14 +133,16 @@ fn failure_scenarios_propagate_into_workload_success_rates() {
     let system = erase_system(Majority::new(15).unwrap());
     let paper = typed_strategy::<Majority, _>(ProbeMaj::new());
     let sessions = 400;
-    let build = |source| WorkloadCell {
-        system: system.clone(),
-        strategy: WorkloadStrategy::Paper(paper.clone()),
-        source,
-        workload: "open-poisson".into(),
-        config: open_poisson_workload(sessions, SimTime::from_micros(250)),
+    let build = |source| {
+        clean_cell(
+            &system,
+            WorkloadStrategy::Paper(paper.clone()),
+            source,
+            "open-poisson",
+            open_poisson_workload(sessions, SimTime::from_micros(250)),
+        )
     };
-    let outcomes = run_workload_cells(
+    let outcomes = run_net_workload_cells(
         &EvalEngine::new(),
         13,
         &[
@@ -150,6 +167,7 @@ fn raw_engine_composes_with_typed_strategies_and_histograms() {
     // Drive the cluster-level engine directly (no quorum-sim wrapper): a
     // closed loop of Tree probes with a load-aware strategy, checking the
     // ledger/histogram plumbing end to end.
+    use probequorum::probe::session::AttemptLoss;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -170,16 +188,28 @@ fn raw_engine_composes_with_typed_strategies_and_histograms() {
     let model = FailureModel::iid(0.15);
     let report = WorkloadSpec::new(n)
         .config(config)
-        .run_plans(99, |session, ledger, now| {
+        .run(99, |session, ledger, now, _| {
             for e in 0..n {
                 view.set(e, ledger.score(e, now));
             }
             let mut rng = StdRng::seed_from_u64(session);
             let coloring = model.sample_at(n, session, &mut rng);
             let run = run_strategy(&tree, &strategy, &coloring, &mut rng);
-            SessionPlan {
-                colors: run.sequence.iter().map(|&e| coloring.color(e)).collect(),
-                sequence: run.sequence,
+            // Oracle semantics: a dead element is one unanswered request.
+            let probes = run
+                .sequence
+                .iter()
+                .map(|&node| NetProbe {
+                    node,
+                    observed: coloring.color(node),
+                    failures: match coloring.color(node) {
+                        Color::Green => Vec::new(),
+                        Color::Red => vec![AttemptLoss::Request],
+                    },
+                })
+                .collect();
+            NetSessionPlan {
+                probes,
                 success: run.witness.is_green(),
             }
         })
