@@ -121,15 +121,6 @@ fn spec_system(spec: SystemSpec) -> DynSystem {
     erase_spec(&spec).unwrap_or_else(|e| panic!("bench specs are valid by construction: {e}"))
 }
 
-/// [`spec_system`] for sized sweeps: picks the family's parameters from a
-/// size hint through [`SystemSpec::family_with_size_hint`], the same path
-/// the system registry uses.
-fn build_spec_family(family: &str, size_hint: usize) -> DynSystem {
-    let spec = SystemSpec::family_with_size_hint(family, size_hint)
-        .unwrap_or_else(|| panic!("{family} is not a spec family"));
-    spec_system(spec)
-}
-
 /// Fits a power law through the `(universe size, mean probes)` points of a
 /// consecutive slice of engine cells (a sweep).
 fn fit_cells(cells: &[CellReport]) -> PowerLawFit {
@@ -1263,24 +1254,20 @@ fn churn_delta_over(config: &ReproConfig, walk_steps: usize) -> (Table, Table) {
     (equivalence, rates)
 }
 
-/// The full scenario matrix: every registry system × every compatible
+/// The full scenario matrix: every catalogue system × every compatible
 /// strategy × every standard failure scenario, one engine pass.
 ///
 /// This is the table the `bench-smoke` CI job captures into
 /// `BENCH_<sha>.json` on every push, so the perf and complexity trajectory
-/// of the whole registry is recorded over time. Output is bit-identical for
-/// any `REPRO_THREADS`.
+/// of every family and strategy is recorded over time. Output is
+/// bit-identical for any `REPRO_THREADS`.
 pub fn scenario_matrix(config: &ReproConfig) -> Table {
-    let systems_registry = SystemRegistry::paper();
-    let strategies_registry = RegistryBuilder::new().paper().build();
     let scenarios = ScenarioRegistry::standard();
-
-    let systems: Vec<DynSystem> = systems_registry
-        .entries()
+    let systems: Vec<DynSystem> = catalogue()
         .iter()
-        .map(|entry| (entry.build)(30))
+        .map(|entry| erase_family(entry.family, 30).expect("catalogue family"))
         .collect();
-    let strategies: Vec<probequorum::sim::eval::DynProbeStrategy> = strategies_registry
+    let strategies: Vec<probequorum::sim::eval::DynProbeStrategy> = StrategyRegistry::paper()
         .entries()
         .iter()
         .map(|entry| (entry.build)())
@@ -2034,17 +2021,17 @@ pub fn throughput(config: &ReproConfig) -> Table {
         let entries: Vec<(&str, DynSystem, probequorum::sim::eval::DynProbeStrategy)> = vec![
             (
                 "Grid",
-                build_spec_family("Grid", hint),
+                erase_family("Grid", hint).expect("catalogue family"),
                 probequorum::sim::eval::universal_strategy(SequentialScan::new()),
             ),
             (
                 "Maj",
-                build_spec_family("Maj", hint),
+                erase_family("Maj", hint).expect("catalogue family"),
                 typed_strategy::<Majority, _>(ProbeMaj::new()),
             ),
             (
                 "Tree",
-                build_spec_family("Tree", hint),
+                erase_family("Tree", hint).expect("catalogue family"),
                 typed_strategy::<TreeQuorum, _>(ProbeTree::new()),
             ),
         ];

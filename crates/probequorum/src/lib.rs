@@ -83,9 +83,9 @@ pub mod prelude {
         MutexError, QuorumMutex, ReadResult, RegisterError, ReplicatedRegister,
     };
     pub use quorum_sim::eval::{
-        erase_spec, erase_system, typed_strategy, universal_strategy, ColoringSource,
+        erase_family, erase_spec, erase_system, typed_strategy, universal_strategy, ColoringSource,
         DynProbeStrategy, DynStrategy, DynSystem, EvalEngine, EvalPlan, EvalReport,
-        RegistryBuilder, ScenarioRegistry, StrategyRegistry, SystemRegistry, TrialRng,
+        ScenarioRegistry, StrategyRegistry, TrialRng,
     };
     pub use quorum_sim::{
         batched_availability, batched_failure_probability, chaos_recovery_micros, chaos_scenarios,

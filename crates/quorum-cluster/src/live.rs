@@ -52,7 +52,7 @@ use quorum_probe::session::AttemptLoss;
 
 use crate::chaos::{ChaosSchedule, ChaosState};
 use crate::network::{PartitionSchedule, ProbePolicy};
-use crate::spec::{attempt_is_wasted, SessionTrace};
+use crate::spec::{attempt_is_wasted, PlanCost, SessionTrace};
 use crate::workload::{NetProbe, WorkloadConfig};
 use crate::{NodeId, SimTime};
 
@@ -180,24 +180,12 @@ impl LiveOptions {
 pub struct LiveSessionOutcome {
     /// The trace index of the session.
     pub index: u64,
-    /// The strategy verdict carried by the plan (the transcript checks
-    /// below are what tie it to this execution).
-    pub ok: bool,
-    /// The nodes actually probed, in resolution-slot order.
-    pub sequence: Vec<NodeId>,
-    /// The color each probe actually recorded: green iff a real answer
-    /// arrived, red iff every attempt timed out.
-    pub observed: Vec<Color>,
-    /// Probe attempts actually issued.
-    pub probes: u64,
-    /// Messages actually transmitted by and for this session: requests sent
-    /// by the client plus responses sent by node threads (delivered or
-    /// dropped).
-    pub messages: u64,
-    /// Attempts whose answer was never used.
-    pub wasted: u64,
-    /// Attempts that timed out at the client.
-    pub timeouts: u64,
+    /// The logical observables as this execution measured them: `ok` is the
+    /// plan's strategy verdict; the nodes in resolution-slot order, the
+    /// color each probe actually recorded (green iff a real answer arrived),
+    /// and the attempts, messages (client requests plus node responses,
+    /// delivered or dropped), wasted attempts and timeouts actually seen.
+    pub cost: PlanCost,
     /// Probes launched early by the hedging policy.
     pub hedges: u64,
     /// Hedge races whose slower probe was cancelled.
@@ -615,8 +603,7 @@ fn run_session(
         }
         Some(_) => {}
     }
-    let mut outcome = LiveSessionOutcome {
-        index,
+    let mut cost = PlanCost {
         ok: plan.success,
         sequence: Vec::with_capacity(total),
         observed: Vec::with_capacity(total),
@@ -624,21 +611,24 @@ fn run_session(
         messages: 0,
         wasted: 0,
         timeouts: 0,
-        hedges,
-        cancelled,
-        wall: start.elapsed(),
     };
     for slot in slots {
         let probe = slot.expect("every probe resolved");
-        outcome.sequence.push(probe.node);
-        outcome.observed.push(probe.observed);
-        outcome.probes += probe.attempts;
-        outcome.messages += probe.attempts; // the requests; responses are
-                                            // attributed after node drain
-        outcome.wasted += probe.wasted;
-        outcome.timeouts += probe.timeouts;
+        cost.sequence.push(probe.node);
+        cost.observed.push(probe.observed);
+        cost.probes += probe.attempts;
+        cost.messages += probe.attempts; // the requests; responses are
+                                         // attributed after node drain
+        cost.wasted += probe.wasted;
+        cost.timeouts += probe.timeouts;
     }
-    outcome
+    LiveSessionOutcome {
+        index,
+        cost,
+        hedges,
+        cancelled,
+        wall: start.elapsed(),
+    }
 }
 
 /// Replays a captured trace on the live runtime.
@@ -761,7 +751,7 @@ pub fn run_live(
     // Attribute node-sent responses to their sessions now that every count
     // is settled.
     for (position, outcome) in &mut admitted_sessions {
-        outcome.messages += responses[*position].load(Ordering::Relaxed);
+        outcome.cost.messages += responses[*position].load(Ordering::Relaxed);
     }
     let sessions: Vec<LiveSessionOutcome> = admitted_sessions
         .into_iter()
@@ -789,11 +779,11 @@ pub fn run_live(
         sessions,
     };
     for session in &report.sessions {
-        report.successes += u64::from(session.ok);
-        report.probes += session.probes;
-        report.messages += session.messages;
-        report.wasted += session.wasted;
-        report.timeouts += session.timeouts;
+        report.successes += u64::from(session.cost.ok);
+        report.probes += session.cost.probes;
+        report.messages += session.cost.messages;
+        report.wasted += session.cost.wasted;
+        report.timeouts += session.cost.timeouts;
         report.hedges += session.hedges;
         report.cancelled += session.cancelled;
     }
@@ -874,13 +864,8 @@ mod tests {
         assert!(report.drained_clean(), "shutdown must drain the queues");
         let expect = plan_observables(&mixed_plan());
         for session in &report.sessions {
-            assert_eq!(session.sequence, expect.sequence);
-            assert_eq!(session.observed, expect.observed);
-            assert_eq!(session.probes, expect.probes);
-            assert_eq!(session.messages, expect.messages);
-            assert_eq!(session.wasted, expect.wasted);
-            assert_eq!(session.timeouts, expect.timeouts);
-            assert!(session.ok);
+            assert_eq!(session.cost, expect);
+            assert!(session.cost.ok);
         }
         assert_eq!(report.messages, 12 * expect.messages);
         assert!(report.wall > Duration::ZERO);
@@ -924,9 +909,12 @@ mod tests {
         assert_eq!(report.admitted, 6);
         let expect = plan_observables(&mixed_plan());
         for session in &report.sessions {
-            assert_eq!(session.sequence, expect.sequence, "order is by probe slot");
             assert_eq!(
-                session.messages, expect.messages,
+                session.cost.sequence, expect.sequence,
+                "order is by probe slot"
+            );
+            assert_eq!(
+                session.cost.messages, expect.messages,
                 "hedging never changes messages"
             );
             assert!(session.cancelled <= session.hedges);
@@ -1000,7 +988,7 @@ mod tests {
         assert!(report.node_restarts >= 1, "the supervisor restarts it");
         assert_eq!(report.successes, sessions as u64, "node 1 still answers");
         for session in &report.sessions {
-            assert_eq!(session.observed, vec![Color::Red, Color::Green]);
+            assert_eq!(session.cost.observed, vec![Color::Red, Color::Green]);
         }
     }
 

@@ -167,9 +167,10 @@ impl AgreementReport {
 }
 
 /// Cross-validates a live replay against the sim trace it was built from:
-/// per session, ok/fail, the probe sequence, the observed colors and the
-/// probe/message/waste/timeout counts must all match, and the live
-/// aggregates must equal the sim engine's report.
+/// per session, the measured [`PlanCost`] (ok/fail, probe sequence, observed
+/// colors, probe/message/waste/timeout counts) must equal
+/// [`plan_observables`] of the traced plan, and the live aggregates must
+/// equal the sim engine's report.
 pub fn cross_validate(
     trace: &SessionTrace,
     sim: &WorkloadReport,
@@ -206,49 +207,13 @@ pub fn cross_validate(
             ));
             continue;
         }
-        if outcome.ok != expect.ok {
+        if outcome.cost != expect {
             report.note(format!(
-                "session #{session} ok/fail: sim {}, live {}",
-                expect.ok, outcome.ok
+                "session #{session}: sim {expect:?}, live {:?}",
+                outcome.cost
             ));
         }
-        if outcome.sequence != expect.sequence {
-            report.note(format!(
-                "session #{session} probe sequence: sim {:?}, live {:?}",
-                expect.sequence, outcome.sequence
-            ));
-        }
-        if outcome.observed != expect.observed {
-            report.note(format!(
-                "session #{session} observed colors: sim {:?}, live {:?}",
-                expect.observed, outcome.observed
-            ));
-        }
-        if outcome.probes != expect.probes {
-            report.note(format!(
-                "session #{session} probe attempts: sim {}, live {}",
-                expect.probes, outcome.probes
-            ));
-        }
-        if outcome.messages != expect.messages {
-            report.note(format!(
-                "session #{session} messages: sim {}, live {}",
-                expect.messages, outcome.messages
-            ));
-        }
-        if outcome.wasted != expect.wasted {
-            report.note(format!(
-                "session #{session} wasted attempts: sim {}, live {}",
-                expect.wasted, outcome.wasted
-            ));
-        }
-        if outcome.timeouts != expect.timeouts {
-            report.note(format!(
-                "session #{session} timeouts: sim {}, live {}",
-                expect.timeouts, outcome.timeouts
-            ));
-        }
-        live_messages += outcome.messages;
+        live_messages += outcome.cost.messages;
     }
     // The aggregate ties the live execution to the *engine's* own counters,
     // not just to the trace: if the pricing code and the live runtime ever
@@ -344,13 +309,23 @@ impl SpecReport {
 ///
 /// ```
 /// use quorum_cluster::spec::{Backend, WorkloadSpec};
-/// use quorum_cluster::workload::{ArrivalProcess, NetProbe, NetSessionPlan};
+/// use quorum_cluster::workload::{
+///     ArrivalProcess, Distribution, NetProbe, NetSessionPlan, WorkloadConfig,
+/// };
 /// use quorum_cluster::SimTime;
 ///
 /// let spec = WorkloadSpec::new(5)
-///     .sessions(40)
-///     .arrivals(ArrivalProcess::OpenPoisson {
-///         mean_interarrival: SimTime::from_micros(300),
+///     .config(WorkloadConfig {
+///         arrival: ArrivalProcess::OpenPoisson {
+///             mean_interarrival: SimTime::from_micros(300),
+///         },
+///         sessions: 40,
+///         rpc_latency: Distribution::uniform(
+///             SimTime::from_micros(100),
+///             SimTime::from_micros(400),
+///         ),
+///         service: Distribution::exponential(SimTime::from_micros(150)),
+///         probe_timeout: SimTime::from_millis(5),
 ///     })
 ///     .backend(Backend::Sim);
 /// let outcome = spec.run(7, |_, _, _, _| NetSessionPlan {
@@ -404,36 +379,6 @@ impl WorkloadSpec {
     /// count, latency, service, timeout).
     pub fn config(mut self, config: WorkloadConfig) -> Self {
         self.config = config;
-        self
-    }
-
-    /// Sets the arrival process.
-    pub fn arrivals(mut self, arrival: ArrivalProcess) -> Self {
-        self.config.arrival = arrival;
-        self
-    }
-
-    /// Sets the total session count.
-    pub fn sessions(mut self, sessions: usize) -> Self {
-        self.config.sessions = sessions;
-        self
-    }
-
-    /// Sets the one-way RPC latency distribution.
-    pub fn rpc_latency(mut self, latency: Distribution) -> Self {
-        self.config.rpc_latency = latency;
-        self
-    }
-
-    /// Sets the per-probe service-time distribution.
-    pub fn service(mut self, service: Distribution) -> Self {
-        self.config.service = service;
-        self
-    }
-
-    /// Sets the client-side probe timeout.
-    pub fn probe_timeout(mut self, timeout: SimTime) -> Self {
-        self.config.probe_timeout = timeout;
         self
     }
 
@@ -628,7 +573,11 @@ mod tests {
 
     #[test]
     fn sim_backend_matches_the_engine() {
-        let spec = WorkloadSpec::new(3).sessions(25);
+        let defaults = *WorkloadSpec::new(3).workload_config();
+        let spec = WorkloadSpec::new(3).config(WorkloadConfig {
+            sessions: 25,
+            ..defaults
+        });
         let via_spec = spec.run(11, |_, _, _, _| lossy_plan());
         assert!(via_spec.trace.is_none());
         assert!(via_spec.live.is_none());
@@ -650,5 +599,47 @@ mod tests {
         assert_eq!(direct.messages, 25 * per_plan.messages);
         assert_eq!(direct.wasted_probes, 25 * per_plan.wasted);
         assert_eq!(direct.probes, 25 * per_plan.probes);
+    }
+
+    /// The check can fail: a live report that drifts from the trace in one
+    /// session's observables, or in one aggregate, is flagged by name.
+    #[test]
+    fn cross_validate_flags_a_perturbed_session_and_aggregate() {
+        let defaults = *WorkloadSpec::new(3).workload_config();
+        let outcome = WorkloadSpec::new(3)
+            .config(WorkloadConfig {
+                sessions: 6,
+                ..defaults
+            })
+            .backend(Backend::Live(LiveOptions::default().time_scale(0.002)))
+            .run(11, |_, _, _, _| lossy_plan());
+        let trace = outcome.trace.as_ref().expect("live backend traces");
+        let live = outcome.live.as_ref().expect("live backend reports");
+        assert!(outcome.agrees(), "{:?}", outcome.agreement);
+
+        let mut drifted = live.clone();
+        drifted.sessions[2].cost.probes += 1;
+        let check = cross_validate(trace, &outcome.report, &drifted);
+        assert!(!check.agree);
+        assert_eq!(check.mismatches.len(), 1, "{:?}", check.mismatches);
+        let session = drifted.sessions[2].index;
+        assert!(
+            check.mismatches[0].starts_with(&format!("session #{session}:")),
+            "{:?}",
+            check.mismatches
+        );
+
+        let mut drifted = live.clone();
+        drifted.requests_lost_to_crash += 1;
+        let check = cross_validate(trace, &outcome.report, &drifted);
+        assert!(!check.agree);
+        assert!(
+            check
+                .mismatches
+                .iter()
+                .any(|m| m.starts_with("crash fates")),
+            "{:?}",
+            check.mismatches
+        );
     }
 }

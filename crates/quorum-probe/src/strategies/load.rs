@@ -110,13 +110,6 @@ impl LeastLoadedScan {
         LeastLoadedScan { view }
     }
 
-    /// A scan over an empty view (every score 0): equivalent to
-    /// [`SequentialScan`](super::SequentialScan), useful as a registry
-    /// default.
-    pub fn unloaded() -> Self {
-        Self::new(LoadView::default())
-    }
-
     /// The load view this strategy consults.
     pub fn view(&self) -> &LoadView {
         &self.view
@@ -160,12 +153,6 @@ impl PowerOfTwoScan {
     /// A power-of-two-choices scan over the given load view.
     pub fn new(view: LoadView) -> Self {
         PowerOfTwoScan { view }
-    }
-
-    /// A scan over an empty view: both candidates always tie on load, so the
-    /// choice degenerates to the lower-indexed of two random picks.
-    pub fn unloaded() -> Self {
-        Self::new(LoadView::default())
     }
 
     /// The load view this strategy consults.
@@ -248,7 +235,7 @@ mod tests {
         let maj = Majority::new(7).unwrap();
         let coloring = Coloring::all_green(7);
         let mut rng = StdRng::seed_from_u64(0);
-        let run = run_strategy(&maj, &LeastLoadedScan::unloaded(), &coloring, &mut rng);
+        let run = run_strategy(&maj, &LeastLoadedScan::default(), &coloring, &mut rng);
         assert_eq!(run.sequence, vec![0, 1, 2, 3]);
         assert!(run.witness.is_green());
     }
@@ -334,11 +321,11 @@ mod tests {
     #[test]
     fn strategies_report_names() {
         assert_eq!(
-            ProbeStrategy::<Majority>::name(&LeastLoadedScan::unloaded()),
+            ProbeStrategy::<Majority>::name(&LeastLoadedScan::default()),
             "LeastLoaded"
         );
         assert_eq!(
-            ProbeStrategy::<Majority>::name(&PowerOfTwoScan::unloaded()),
+            ProbeStrategy::<Majority>::name(&PowerOfTwoScan::default()),
             "PowerOfTwo"
         );
     }

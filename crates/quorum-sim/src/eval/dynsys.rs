@@ -71,6 +71,15 @@ pub fn erase_spec(spec: &SystemSpec) -> Result<DynSystem, SpecError> {
     })
 }
 
+/// Builds the [`quorum_systems::catalogue`] family named `family` at roughly
+/// `size_hint` elements through [`SystemSpec::family_with_size_hint`] and
+/// erases it like [`erase_spec`], so typed strategies still downcast.
+/// Returns `None` when `family` is not a catalogue name.
+pub fn erase_family(family: &str, size_hint: usize) -> Option<DynSystem> {
+    let spec = SystemSpec::family_with_size_hint(family, size_hint)?;
+    Some(erase_spec(&spec).unwrap_or_else(|e| panic!("{spec} is invalid: {e}")))
+}
+
 /// An object-safe probe strategy: the engine-facing face of
 /// [`ProbeStrategy`].
 pub trait DynStrategy: Send + Sync {

@@ -387,13 +387,11 @@ impl EvalEngine {
 mod tests {
     use super::*;
     use crate::eval::ColoringSource;
-    use crate::eval::{StrategyRegistry, SystemRegistry};
+    use crate::eval::{erase_family, StrategyRegistry};
 
     fn small_plan() -> EvalPlan {
-        let systems = SystemRegistry::paper();
-        let strategies = StrategyRegistry::paper();
-        let maj = systems.build("Maj", 13).unwrap();
-        let probe = strategies.build("Probe_Maj").unwrap();
+        let maj = erase_family("Maj", 13).unwrap();
+        let probe = StrategyRegistry::paper().build("Probe_Maj").unwrap();
         let mut plan = EvalPlan::new(77).trials(1_300);
         plan.probe(&maj, &probe, ColoringSource::iid(0.4));
         plan.probe(&maj, &probe, ColoringSource::iid(0.6));

@@ -10,10 +10,11 @@
 //!
 //! 1. **Dyn objects** ([`dynsys`]): [`DynSystem`] / [`DynStrategy`] erase the
 //!    typed `ProbeStrategy<S>` interface so heterogeneous cells fit one plan.
-//! 2. **Registries** ([`registry`]): [`SystemRegistry`] and
-//!    [`StrategyRegistry`] enumerate every named family and paper strategy
-//!    and pair the compatible ones; [`ScenarioRegistry`] names the failure
-//!    scenarios (i.i.d., correlated zones, heterogeneous rates, churn) that
+//! 2. **Registries** ([`registry`]): [`erase_family`] builds any family of
+//!    [`quorum_systems::catalogue`] by name and size hint,
+//!    [`StrategyRegistry`] enumerates every paper strategy and pairs the
+//!    compatible ones, and [`ScenarioRegistry`] names the failure scenarios
+//!    (i.i.d., correlated zones, heterogeneous rates, churn) that
 //!    [`EvalPlan::matrix`] sweeps them under.
 //! 3. **Engine** ([`engine`]): rayon-parallel execution of all trials with
 //!    deterministic per-trial seed derivation
@@ -23,12 +24,10 @@
 //! # Example
 //!
 //! ```
-//! use quorum_sim::eval::{ColoringSource, EvalEngine, EvalPlan, SystemRegistry, StrategyRegistry};
+//! use quorum_sim::eval::{erase_family, ColoringSource, EvalEngine, EvalPlan, StrategyRegistry};
 //!
-//! let systems = SystemRegistry::paper();
-//! let strategies = StrategyRegistry::paper();
-//! let maj = systems.build("Maj", 21).unwrap();
-//! let probe_maj = strategies.build("Probe_Maj").unwrap();
+//! let maj = erase_family("Maj", 21).unwrap();
+//! let probe_maj = StrategyRegistry::paper().build("Probe_Maj").unwrap();
 //!
 //! let mut plan = EvalPlan::new(2001).trials(2_000);
 //! plan.probe(&maj, &probe_maj, ColoringSource::iid(0.5));
@@ -49,15 +48,12 @@ pub mod plan;
 pub mod registry;
 
 pub use dynsys::{
-    erase_spec, erase_system, typed_strategy, universal_strategy, DynProbeStrategy, DynStrategy,
-    DynSystem, EvalSystem, ForAny, ForSystem,
+    erase_family, erase_spec, erase_system, typed_strategy, universal_strategy, DynProbeStrategy,
+    DynStrategy, DynSystem, EvalSystem, ForAny, ForSystem,
 };
 pub use engine::{
     derive_rng, fit_points, trial_values, CellReport, EvalEngine, EvalReport, Shard, TrialRng,
     DEFAULT_SHARD_TRIALS,
 };
 pub use plan::{ColoringSource, EvalCell, EvalPlan};
-pub use registry::{
-    RegistryBuilder, ScenarioEntry, ScenarioRegistry, StrategyEntry, StrategyRegistry, SystemEntry,
-    SystemRegistry,
-};
+pub use registry::{ScenarioEntry, ScenarioRegistry, StrategyEntry, StrategyRegistry};

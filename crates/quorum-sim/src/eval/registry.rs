@@ -1,119 +1,25 @@
-//! Registries of the paper's system families, probe strategies and failure
-//! scenarios.
+//! Registries of the paper's probe strategies and failure scenarios.
 //!
-//! The registries make the evaluation engine *table-driven*: every named
-//! construction of `quorum-systems`, every probing algorithm of
-//! `quorum-probe` and every failure regime of [`crate::FailureModel`] is
-//! enumerable, buildable from a size hint, and pairable —
+//! The registries make the evaluation engine *table-driven*: every probing
+//! algorithm of `quorum-probe` and every failure regime of
+//! [`crate::FailureModel`] is enumerable and buildable by name, just as
+//! [`quorum_systems::catalogue`] enumerates the system families (erased for
+//! the engine by [`erase_family`](super::erase_family)).
 //! [`StrategyRegistry::compatible_pairs`] yields exactly the `(system,
 //! strategy)` cells a survey should run, and [`ScenarioRegistry::standard`]
 //! names the failure scenarios a scenario matrix sweeps them under.
 
 use quorum_probe::strategies::{
-    IrProbeHqs, LeastLoadedScan, PowerOfTwoScan, ProbeCw, ProbeHqs, ProbeMaj, ProbeTree, RProbeCw,
-    RProbeHqs, RProbeMaj, RProbeTree, RandomScan, SequentialScan,
+    IrProbeHqs, ProbeCw, ProbeHqs, ProbeMaj, ProbeTree, RProbeCw, RProbeHqs, RProbeMaj, RProbeTree,
+    RandomScan, SequentialScan,
 };
 use std::sync::Arc;
 
 use quorum_core::Organizations;
-use quorum_systems::{CrumblingWalls, Hqs, Majority, SystemSpec, TreeQuorum};
+use quorum_systems::{CrumblingWalls, Hqs, Majority, TreeQuorum};
 
-use super::dynsys::{erase_spec, typed_strategy, universal_strategy, DynProbeStrategy, DynSystem};
+use super::dynsys::{typed_strategy, universal_strategy, DynProbeStrategy, DynSystem};
 use super::plan::ColoringSource;
-
-/// Builds a registry family through [`SystemSpec::family_with_size_hint`]
-/// and erases the concrete result, so every registry system comes from the
-/// same construction path as user-written specs while typed strategies keep
-/// downcasting.
-fn build_family(family: &str, size_hint: usize) -> DynSystem {
-    let spec = SystemSpec::family_with_size_hint(family, size_hint)
-        .unwrap_or_else(|| panic!("{family} is not a spec family"));
-    erase_spec(&spec).unwrap_or_else(|e| panic!("{family} spec invalid for hint {size_hint}: {e}"))
-}
-
-/// A named system family, buildable from an approximate universe size.
-#[derive(Clone)]
-pub struct SystemEntry {
-    /// Family name, e.g. `"Maj"`.
-    pub family: &'static str,
-    /// Builds an instance with roughly `size_hint` elements (rounded to
-    /// whatever the family supports).
-    pub build: fn(usize) -> DynSystem,
-}
-
-impl std::fmt::Debug for SystemEntry {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SystemEntry")
-            .field("family", &self.family)
-            .finish()
-    }
-}
-
-/// The registry of system families.
-#[derive(Debug, Clone)]
-pub struct SystemRegistry {
-    entries: Vec<SystemEntry>,
-}
-
-impl SystemRegistry {
-    /// The families studied by the paper (Maj, Wheel, Triang, Tree, HQS)
-    /// plus the Grid baseline and the recursive Compose family (an
-    /// organization-aligned majority-of-majorities).
-    ///
-    /// Every entry is built through [`SystemSpec::family_with_size_hint`] +
-    /// [`erase_spec`], so the registry exercises the same construction API
-    /// as user-written specs; the concrete constructors remain available as
-    /// thin wrappers for direct use.
-    pub fn paper() -> Self {
-        SystemRegistry {
-            entries: vec![
-                SystemEntry {
-                    family: "Maj",
-                    build: |hint| build_family("Maj", hint),
-                },
-                SystemEntry {
-                    family: "Wheel",
-                    build: |hint| build_family("Wheel", hint),
-                },
-                SystemEntry {
-                    family: "Triang",
-                    build: |hint| build_family("Triang", hint),
-                },
-                SystemEntry {
-                    family: "Tree",
-                    build: |hint| build_family("Tree", hint),
-                },
-                SystemEntry {
-                    family: "HQS",
-                    build: |hint| build_family("HQS", hint),
-                },
-                SystemEntry {
-                    family: "Grid",
-                    build: |hint| build_family("Grid", hint),
-                },
-                SystemEntry {
-                    family: "Compose",
-                    build: |hint| build_family("Compose", hint),
-                },
-            ],
-        }
-    }
-
-    /// All entries.
-    pub fn entries(&self) -> &[SystemEntry] {
-        &self.entries
-    }
-
-    /// Looks an entry up by family name.
-    pub fn get(&self, family: &str) -> Option<&SystemEntry> {
-        self.entries.iter().find(|e| e.family == family)
-    }
-
-    /// Builds an instance of `family` with roughly `size_hint` elements.
-    pub fn build(&self, family: &str, size_hint: usize) -> Option<DynSystem> {
-        self.get(family).map(|e| (e.build)(size_hint))
-    }
-}
 
 /// A named probe strategy, buildable as a [`DynProbeStrategy`].
 #[derive(Clone)]
@@ -122,147 +28,20 @@ pub struct StrategyEntry {
     pub name: &'static str,
     /// Builds the strategy.
     pub build: fn() -> DynProbeStrategy,
-    /// Whether the strategy randomises its probe order (Section 4
-    /// algorithms and `RandomScan`).
-    pub randomized: bool,
 }
 
 impl std::fmt::Debug for StrategyEntry {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("StrategyEntry")
             .field("name", &self.name)
-            .field("randomized", &self.randomized)
             .finish()
     }
 }
 
-/// The single way to assemble a [`StrategyRegistry`] — the registry's
-/// extension point.
-///
-/// Historically strategies entered a registry through three diverging paths:
-/// the hard-coded [`StrategyRegistry::paper`] table, the
-/// [`StrategyRegistry::extended`] push-on-top variant, and ad-hoc typed
-/// construction via [`typed_strategy`] / [`universal_strategy`] generics at
-/// each call site. The builder collapses them: batteries are composable
-/// starting points ([`RegistryBuilder::paper`],
-/// [`RegistryBuilder::load_aware`]) and one [`RegistryBuilder::strategy`]
-/// call registers anything else.
-///
-/// # Extending the registry
+/// The registry of probe strategies.
 ///
 /// A strategy tied to one system family is erased with [`typed_strategy`];
 /// a strategy that probes any [`DynSystem`] uses [`universal_strategy`].
-/// Registering a name that is already present **replaces** the earlier
-/// entry, so a custom battery can override a stock strategy in place:
-///
-/// ```
-/// use quorum_probe::strategies::SequentialScan;
-/// use quorum_sim::eval::{universal_strategy, RegistryBuilder};
-///
-/// let registry = RegistryBuilder::new()
-///     .paper()
-///     .strategy("MyScan", false, || universal_strategy(SequentialScan::new()))
-///     .build();
-/// assert!(registry.get("MyScan").is_some());
-/// assert!(registry.get("Probe_CW").is_some());
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct RegistryBuilder {
-    entries: Vec<StrategyEntry>,
-}
-
-impl RegistryBuilder {
-    /// An empty builder.
-    pub fn new() -> Self {
-        RegistryBuilder::default()
-    }
-
-    /// Adds every strategy of the paper (Sections 3 and 4) plus the generic
-    /// scan baselines — eleven entries.
-    pub fn paper(self) -> Self {
-        self.strategy("Probe_Maj", false, || {
-            typed_strategy::<Majority, _>(ProbeMaj::new())
-        })
-        .strategy("R_Probe_Maj", true, || {
-            typed_strategy::<Majority, _>(RProbeMaj::new())
-        })
-        .strategy("Probe_CW", false, || {
-            typed_strategy::<CrumblingWalls, _>(ProbeCw::new())
-        })
-        .strategy("R_Probe_CW", true, || {
-            typed_strategy::<CrumblingWalls, _>(RProbeCw::new())
-        })
-        .strategy("Probe_Tree", false, || {
-            typed_strategy::<TreeQuorum, _>(ProbeTree::new())
-        })
-        .strategy("R_Probe_Tree", true, || {
-            typed_strategy::<TreeQuorum, _>(RProbeTree::new())
-        })
-        .strategy("Probe_HQS", false, || {
-            typed_strategy::<Hqs, _>(ProbeHqs::new())
-        })
-        .strategy("R_Probe_HQS", true, || {
-            typed_strategy::<Hqs, _>(RProbeHqs::new())
-        })
-        .strategy("IR_Probe_HQS", true, || {
-            typed_strategy::<Hqs, _>(IrProbeHqs::new())
-        })
-        .strategy("SequentialScan", false, || {
-            universal_strategy(SequentialScan::new())
-        })
-        .strategy("RandomScan", true, || universal_strategy(RandomScan::new()))
-    }
-
-    /// Adds the generic **load-aware** strategies ([`LeastLoadedScan`],
-    /// [`PowerOfTwoScan`]). Builder-built instances carry a fresh, empty
-    /// load view — useful for probe-count comparisons; workload simulations
-    /// instead build them over a live ledger (see [`crate::workload`]).
-    pub fn load_aware(self) -> Self {
-        self.strategy("LeastLoaded", false, || {
-            universal_strategy(LeastLoadedScan::unloaded())
-        })
-        .strategy("PowerOfTwo", true, || {
-            universal_strategy(PowerOfTwoScan::unloaded())
-        })
-    }
-
-    /// Registers one strategy under its canonical `name`, replacing any
-    /// existing entry of the same name. `randomized` marks strategies that
-    /// randomise their probe order (the paper's Section 4 algorithms).
-    pub fn strategy(
-        self,
-        name: &'static str,
-        randomized: bool,
-        build: fn() -> DynProbeStrategy,
-    ) -> Self {
-        self.register(StrategyEntry {
-            name,
-            build,
-            randomized,
-        })
-    }
-
-    /// Registers a pre-assembled [`StrategyEntry`], replacing any existing
-    /// entry of the same name (the replacement keeps the original position,
-    /// so battery order stays stable under overrides).
-    pub fn register(mut self, entry: StrategyEntry) -> Self {
-        if let Some(existing) = self.entries.iter_mut().find(|e| e.name == entry.name) {
-            *existing = entry;
-        } else {
-            self.entries.push(entry);
-        }
-        self
-    }
-
-    /// Finalises the registry.
-    pub fn build(self) -> StrategyRegistry {
-        StrategyRegistry {
-            entries: self.entries,
-        }
-    }
-}
-
-/// The registry of probe strategies.
 #[derive(Debug, Clone)]
 pub struct StrategyRegistry {
     entries: Vec<StrategyEntry>,
@@ -270,16 +49,56 @@ pub struct StrategyRegistry {
 
 impl StrategyRegistry {
     /// Every strategy of the paper (Sections 3 and 4) plus the generic
-    /// scan baselines — [`RegistryBuilder::paper`] finalised as is.
+    /// scan baselines — eleven entries.
     pub fn paper() -> Self {
-        RegistryBuilder::new().paper().build()
-    }
-
-    /// The paper battery plus the load-aware strategies —
-    /// [`RegistryBuilder::paper`] + [`RegistryBuilder::load_aware`]
-    /// finalised as is.
-    pub fn extended() -> Self {
-        RegistryBuilder::new().paper().load_aware().build()
+        StrategyRegistry {
+            entries: vec![
+                StrategyEntry {
+                    name: "Probe_Maj",
+                    build: || typed_strategy::<Majority, _>(ProbeMaj::new()),
+                },
+                StrategyEntry {
+                    name: "R_Probe_Maj",
+                    build: || typed_strategy::<Majority, _>(RProbeMaj::new()),
+                },
+                StrategyEntry {
+                    name: "Probe_CW",
+                    build: || typed_strategy::<CrumblingWalls, _>(ProbeCw::new()),
+                },
+                StrategyEntry {
+                    name: "R_Probe_CW",
+                    build: || typed_strategy::<CrumblingWalls, _>(RProbeCw::new()),
+                },
+                StrategyEntry {
+                    name: "Probe_Tree",
+                    build: || typed_strategy::<TreeQuorum, _>(ProbeTree::new()),
+                },
+                StrategyEntry {
+                    name: "R_Probe_Tree",
+                    build: || typed_strategy::<TreeQuorum, _>(RProbeTree::new()),
+                },
+                StrategyEntry {
+                    name: "Probe_HQS",
+                    build: || typed_strategy::<Hqs, _>(ProbeHqs::new()),
+                },
+                StrategyEntry {
+                    name: "R_Probe_HQS",
+                    build: || typed_strategy::<Hqs, _>(RProbeHqs::new()),
+                },
+                StrategyEntry {
+                    name: "IR_Probe_HQS",
+                    build: || typed_strategy::<Hqs, _>(IrProbeHqs::new()),
+                },
+                StrategyEntry {
+                    name: "SequentialScan",
+                    build: || universal_strategy(SequentialScan::new()),
+                },
+                StrategyEntry {
+                    name: "RandomScan",
+                    build: || universal_strategy(RandomScan::new()),
+                },
+            ],
+        }
     }
 
     /// All entries.
@@ -297,16 +116,11 @@ impl StrategyRegistry {
         self.get(name).map(|e| (e.build)())
     }
 
-    /// Every `(system, strategy)` pair that can run together, with systems
-    /// built at roughly `size_hint` elements.
-    pub fn compatible_pairs(
-        &self,
-        systems: &SystemRegistry,
-        size_hint: usize,
-    ) -> Vec<(DynSystem, DynProbeStrategy)> {
+    /// Every `(system, strategy)` pair that can run together, system-major
+    /// in the order of `systems`.
+    pub fn compatible_pairs(&self, systems: &[DynSystem]) -> Vec<(DynSystem, DynProbeStrategy)> {
         let mut pairs = Vec::new();
-        for system_entry in systems.entries() {
-            let system = (system_entry.build)(size_hint);
+        for system in systems {
             for strategy_entry in self.entries() {
                 let strategy = (strategy_entry.build)();
                 if strategy.supports(system.as_ref()) {
@@ -448,62 +262,41 @@ mod tests {
     use super::*;
     use rand::SeedableRng;
 
+    use super::super::dynsys::erase_family;
     use super::super::engine::TrialRng;
 
-    /// The registry and `quorum_systems::catalogue()` are two views of the
-    /// same family inventory; layering prevents sharing code (the catalogue's
-    /// type-erased builders cannot produce downcastable [`DynSystem`]s), so
-    /// this test pins them together instead.
-    #[test]
-    fn registry_agrees_with_the_systems_catalogue() {
-        let registry = SystemRegistry::paper();
-        let catalogue = quorum_systems::catalogue();
-        let registry_families: Vec<&str> = registry.entries().iter().map(|e| e.family).collect();
-        let catalogue_families: Vec<&str> = catalogue.iter().map(|e| e.family).collect();
-        assert_eq!(
-            registry_families, catalogue_families,
-            "family inventories diverged"
-        );
-        for (reg, cat) in registry.entries().iter().zip(&catalogue) {
-            for hint in [3, 10, 30, 100] {
-                assert_eq!(
-                    (reg.build)(hint).universe_size(),
-                    (cat.build)(hint).universe_size(),
-                    "{} builds different sizes for hint {hint}",
-                    reg.family
-                );
-            }
-        }
+    /// Every catalogue family at `size_hint`, erased for the engine.
+    fn catalogue_systems(size_hint: usize) -> Vec<DynSystem> {
+        quorum_systems::catalogue()
+            .iter()
+            .map(|entry| erase_family(entry.family, size_hint).expect("catalogue family"))
+            .collect()
     }
 
     #[test]
     fn system_registry_builds_every_family() {
-        let registry = SystemRegistry::paper();
-        assert_eq!(registry.entries().len(), 7);
-        for entry in registry.entries() {
-            let system = (entry.build)(20);
-            assert!(system.universe_size() >= 3, "{} too small", entry.family);
+        let systems = catalogue_systems(20);
+        assert_eq!(systems.len(), 7);
+        for system in &systems {
+            assert!(system.universe_size() >= 3, "{} too small", system.name());
         }
-        assert!(registry.build("Maj", 10).is_some());
-        assert!(registry.build("NoSuchFamily", 10).is_none());
+        assert!(erase_family("Maj", 10).is_some());
+        assert!(erase_family("NoSuchFamily", 10).is_none());
     }
 
-    /// The spec-built registry still hands typed strategies their concrete
-    /// systems: migration to `SystemSpec` must not break downcasting.
+    /// Systems built by name still hand typed strategies their concrete
+    /// systems: building through `SystemSpec` must not break downcasting.
     #[test]
     fn registry_systems_stay_downcastable() {
-        let registry = SystemRegistry::paper();
-        let maj = registry.build("Maj", 9).expect("registered");
+        let maj = erase_family("Maj", 9).expect("catalogue family");
         assert!(maj.as_ref().as_any().is::<Majority>());
-        assert!(registry
-            .build("Tree", 9)
-            .expect("registered")
+        assert!(erase_family("Tree", 9)
+            .expect("catalogue family")
             .as_ref()
             .as_any()
             .is::<TreeQuorum>());
-        assert!(registry
-            .build("Compose", 25)
-            .expect("registered")
+        assert!(erase_family("Compose", 25)
+            .expect("catalogue family")
             .as_ref()
             .as_any()
             .is::<quorum_systems::Composition>());
@@ -519,68 +312,6 @@ mod tests {
             let strategy = (entry.build)();
             assert_eq!(strategy.name(), entry.name, "registry name drifted");
         }
-    }
-
-    #[test]
-    fn extended_registry_adds_the_load_aware_strategies() {
-        let registry = StrategyRegistry::extended();
-        assert_eq!(registry.entries().len(), 13);
-        for name in ["LeastLoaded", "PowerOfTwo"] {
-            let strategy = registry.build(name).expect("registered");
-            assert_eq!(strategy.name(), name);
-            // Generic strategies: compatible with every family.
-            for entry in SystemRegistry::paper().entries() {
-                let system = (entry.build)(12);
-                assert!(
-                    strategy.supports(system.as_ref()),
-                    "{name} vs {}",
-                    entry.family
-                );
-            }
-        }
-        // The paper registry stays untouched.
-        assert!(StrategyRegistry::paper().get("LeastLoaded").is_none());
-    }
-
-    #[test]
-    fn builder_subsumes_the_stock_batteries() {
-        let paper = RegistryBuilder::new().paper().build();
-        let stock: Vec<&str> = StrategyRegistry::paper()
-            .entries()
-            .iter()
-            .map(|e| e.name)
-            .collect();
-        let built: Vec<&str> = paper.entries().iter().map(|e| e.name).collect();
-        assert_eq!(built, stock, "builder battery drifted from the registry");
-        let extended = RegistryBuilder::new().paper().load_aware().build();
-        assert_eq!(extended.entries().len(), 13);
-    }
-
-    #[test]
-    fn builder_overrides_replace_in_place() {
-        let registry = RegistryBuilder::new()
-            .paper()
-            .strategy("RandomScan", false, || {
-                universal_strategy(SequentialScan::new())
-            })
-            .strategy(
-                "Custom",
-                false,
-                || universal_strategy(SequentialScan::new()),
-            )
-            .build();
-        assert_eq!(
-            registry.entries().len(),
-            12,
-            "an override must not append a duplicate"
-        );
-        let overridden = registry.get("RandomScan").expect("still registered");
-        assert!(!overridden.randomized, "the replacement entry wins");
-        assert_eq!(
-            registry.entries().last().expect("non-empty").name,
-            "Custom",
-            "fresh names append; overrides keep their position"
-        );
     }
 
     #[test]
@@ -624,9 +355,8 @@ mod tests {
 
     #[test]
     fn compatible_pairs_cover_typed_and_generic_strategies() {
-        let systems = SystemRegistry::paper();
         let strategies = StrategyRegistry::paper();
-        let pairs = strategies.compatible_pairs(&systems, 15);
+        let pairs = strategies.compatible_pairs(&catalogue_systems(15));
         for (system, strategy) in &pairs {
             assert!(strategy.supports(system.as_ref()));
         }

@@ -11,11 +11,14 @@
 //! coloring-source)` cells; [`eval::EvalEngine`] executes all their trials
 //! on a rayon pool with deterministic per-trial seed derivation
 //! (`base_seed, cell, trial → TrialRng`), so every report is bit-identical
-//! regardless of thread count. The [`batch`] module adds word-parallel
-//! estimators that evaluate 64 trials per word pass for monotone systems,
-//! and the [`workload`] module runs heavy-traffic [`NetWorkloadCell`]s on the
-//! cluster's discrete-event scheduler (concurrent sessions, service queues,
-//! load-aware probing) with the same thread-count-invariant guarantee. The
+//! regardless of thread count. Systems enter by name through
+//! [`eval::erase_family`] (any family of `quorum_systems::catalogue`),
+//! strategies through [`eval::StrategyRegistry`]. The [`batch`] module adds
+//! word-parallel estimators that evaluate 64 trials per word pass for
+//! monotone systems, and the [`workload`] module runs heavy-traffic
+//! [`NetWorkloadCell`]s on the cluster's discrete-event scheduler
+//! (concurrent sessions, service queues, load-aware probing) with the same
+//! thread-count-invariant guarantee. The
 //! classic entry points below ([`estimate_expected_probes`],
 //! [`worst_case_over_colorings`], [`sweep`], …) are thin wrappers over the
 //! same engine.
@@ -59,8 +62,8 @@ pub use batch::{
     batched_failure_probability_wide, DEFAULT_BATCH_WIDTH,
 };
 pub use eval::{
-    ColoringSource, DynProbeStrategy, DynSystem, EvalEngine, EvalPlan, EvalReport, RegistryBuilder,
-    ScenarioRegistry, Shard, StrategyRegistry, SystemRegistry, TrialRng,
+    ColoringSource, DynProbeStrategy, DynSystem, EvalEngine, EvalPlan, EvalReport,
+    ScenarioRegistry, Shard, StrategyRegistry, TrialRng,
 };
 pub use experiment::{sweep, SweepPoint, SweepRow};
 pub use failure::{epsilon_resample_delta, ChurnTrajectory, ChurnWalker, FailureModel};

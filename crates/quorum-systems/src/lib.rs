@@ -61,7 +61,6 @@ pub use tree::TreeQuorum;
 pub use wheel::Wheel;
 
 use quorum_core::DynQuorumSystem;
-use std::sync::Arc;
 
 /// Dispatches a family's const-generic `green_lane_block_impl` over the
 /// supported widths ([`quorum_core::lanes::LANE_WIDTHS`]), storing the result
@@ -91,10 +90,10 @@ pub(crate) use dispatch_lane_block;
 /// A catalogue entry: a named family plus a constructor from a size hint.
 ///
 /// Used by the benchmark harness to sweep heterogeneous families with a single
-/// loop.  `build(size_hint)` returns a system whose universe is *approximately*
-/// `size_hint` elements (rounded to whatever the family supports: odd sizes for
-/// Majority, `2^{h+1}−1` for Tree, `3^h` for HQS, triangular numbers for
-/// Triang).
+/// loop.  `build(size_hint)` builds [`SystemSpec::family_with_size_hint`], so
+/// the universe is *approximately* `size_hint` elements (rounded to whatever
+/// the family supports: odd sizes for Majority, `2^{h+1}−1` for Tree, `3^h`
+/// for HQS, triangular numbers for Triang).
 #[derive(Clone)]
 pub struct FamilyEntry {
     /// Family name (e.g. `"Maj"`, `"Tree"`).
@@ -111,7 +110,9 @@ impl std::fmt::Debug for FamilyEntry {
     }
 }
 
-/// The catalogue of families studied in the paper (plus the Grid baseline).
+/// The catalogue of families studied in the paper (plus the Grid baseline
+/// and the recursive Compose family): the one list of family names, each
+/// built through [`SystemSpec::family_with_size_hint`].
 ///
 /// # Examples
 ///
@@ -123,66 +124,28 @@ impl std::fmt::Debug for FamilyEntry {
 /// }
 /// ```
 pub fn catalogue() -> Vec<FamilyEntry> {
+    macro_rules! family {
+        ($name:literal) => {
+            FamilyEntry {
+                family: $name,
+                build: |size_hint| {
+                    SystemSpec::family_with_size_hint($name, size_hint)
+                        .expect("every catalogue name is a spec family")
+                        .build()
+                        .expect("size-hinted family specs are valid")
+                },
+            }
+        };
+    }
     vec![
-        FamilyEntry {
-            family: "Maj",
-            build: build_majority,
-        },
-        FamilyEntry {
-            family: "Wheel",
-            build: build_wheel,
-        },
-        FamilyEntry {
-            family: "Triang",
-            build: build_triang,
-        },
-        FamilyEntry {
-            family: "Tree",
-            build: build_tree,
-        },
-        FamilyEntry {
-            family: "HQS",
-            build: build_hqs,
-        },
-        FamilyEntry {
-            family: "Grid",
-            build: build_grid,
-        },
-        FamilyEntry {
-            family: "Compose",
-            build: build_compose,
-        },
+        family!("Maj"),
+        family!("Wheel"),
+        family!("Triang"),
+        family!("Tree"),
+        family!("HQS"),
+        family!("Grid"),
+        family!("Compose"),
     ]
-}
-
-fn build_majority(size_hint: usize) -> DynQuorumSystem {
-    Arc::new(Majority::with_size_hint(size_hint))
-}
-
-fn build_wheel(size_hint: usize) -> DynQuorumSystem {
-    Arc::new(Wheel::with_size_hint(size_hint))
-}
-
-fn build_triang(size_hint: usize) -> DynQuorumSystem {
-    Arc::new(CrumblingWalls::triang_with_size_hint(size_hint))
-}
-
-fn build_tree(size_hint: usize) -> DynQuorumSystem {
-    Arc::new(TreeQuorum::with_size_hint(size_hint))
-}
-
-fn build_hqs(size_hint: usize) -> DynQuorumSystem {
-    Arc::new(Hqs::with_size_hint(size_hint))
-}
-
-fn build_grid(size_hint: usize) -> DynQuorumSystem {
-    Arc::new(Grid::with_size_hint(size_hint))
-}
-
-fn build_compose(size_hint: usize) -> DynQuorumSystem {
-    SystemSpec::org_majority_with_size_hint(size_hint)
-        .build()
-        .expect("the org-majority composition is always valid")
 }
 
 #[cfg(test)]

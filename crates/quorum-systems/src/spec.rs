@@ -551,9 +551,9 @@ impl SystemSpec {
         SystemSpec::org_majority(g, m.max(3))
     }
 
-    /// The spec the registries use for a named catalogue family at a size
-    /// hint, mirroring each family's `with_size_hint` rounding. Returns
-    /// `None` for unknown family names.
+    /// The spec of a named [`crate::catalogue`] family at a size hint,
+    /// mirroring each family's `with_size_hint` rounding: the one size hint →
+    /// system map. Returns `None` for unknown family names.
     pub fn family_with_size_hint(family: &str, size_hint: usize) -> Option<SystemSpec> {
         Some(match family {
             "Maj" => SystemSpec::Majority {
@@ -967,7 +967,7 @@ mod tests {
             spec.build().unwrap().universe_size(),
             TreeQuorum::with_size_hint(30).universe_size()
         );
-        for family in ["Maj", "Wheel", "Triang", "Tree", "HQS", "Grid", "Compose"] {
+        for family in crate::catalogue().iter().map(|entry| entry.family) {
             for hint in [3, 10, 30, 100] {
                 let spec = SystemSpec::family_with_size_hint(family, hint).unwrap();
                 let system = spec.build().unwrap();

@@ -2,9 +2,9 @@
 //! universe sizes, fit the growth exponent, and print the paper's predicted
 //! exponent next to the measurement.
 //!
-//! The whole survey is one [`EvalPlan`] — the registries enumerate the
-//! families and strategies, the engine executes every cell in parallel, and
-//! the rows below are read straight out of the resulting [`EvalReport`].
+//! The whole survey is one [`EvalPlan`] — families and strategies are built
+//! by name, the engine executes every cell in parallel, and the rows below
+//! are read straight out of the resulting [`EvalReport`].
 //!
 //! Run with:
 //!
@@ -16,7 +16,7 @@ use probequorum::prelude::*;
 use probequorum::sim::eval::fit_points;
 
 /// One sweep: a family name, the strategy to probe it with, and the size
-/// hints passed to the registry (rounded to whatever the family supports).
+/// hints passed to [`erase_family`] (rounded to whatever the family supports).
 struct Sweep {
     family: &'static str,
     strategy: &'static str,
@@ -25,8 +25,7 @@ struct Sweep {
 }
 
 fn main() -> Result<(), QuorumError> {
-    let systems = SystemRegistry::paper();
-    let strategies = RegistryBuilder::new().paper().build();
+    let strategies = StrategyRegistry::paper();
     // `EXAMPLE_TRIALS` bounds the work in CI smoke runs.
     let trials = std::env::var("EXAMPLE_TRIALS")
         .ok()
@@ -71,9 +70,7 @@ fn main() -> Result<(), QuorumError> {
             .build(sweep.strategy)
             .expect("registered strategy");
         for &hint in sweep.size_hints {
-            let system = systems
-                .build(sweep.family, hint)
-                .expect("registered family");
+            let system = erase_family(sweep.family, hint).expect("catalogue family");
             plan.probe(&system, &strategy, ColoringSource::iid(p));
         }
     }
@@ -122,7 +119,7 @@ fn main() -> Result<(), QuorumError> {
     let mut plan = EvalPlan::new(8).trials(trials);
     for &p in &probabilities {
         for &hint in &tree_hints {
-            let tree = systems.build("Tree", hint).expect("registered family");
+            let tree = erase_family("Tree", hint).expect("catalogue family");
             plan.probe(&tree, &probe_tree, ColoringSource::iid(p));
         }
     }

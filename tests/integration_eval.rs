@@ -10,14 +10,13 @@ use rand::SeedableRng;
 /// Builds a representative plan: several systems × strategies × sources,
 /// including a custom Monte-Carlo cell.
 fn representative_plan(base_seed: u64) -> EvalPlan {
-    let systems = SystemRegistry::paper();
     let strategies = StrategyRegistry::paper();
     let mut plan = EvalPlan::new(base_seed).trials(400);
 
-    let maj = systems.build("Maj", 21).unwrap();
-    let triang = systems.build("Triang", 21).unwrap();
-    let tree = systems.build("Tree", 31).unwrap();
-    let hqs = systems.build("HQS", 27).unwrap();
+    let maj = erase_family("Maj", 21).unwrap();
+    let triang = erase_family("Triang", 21).unwrap();
+    let tree = erase_family("Tree", 31).unwrap();
+    let hqs = erase_family("HQS", 27).unwrap();
 
     plan.probe(
         &maj,
@@ -110,9 +109,11 @@ fn trial_values_are_deterministic() {
 /// without panicking on a small universe, under each failure model flavour.
 #[test]
 fn every_registry_pair_runs_on_small_universes() {
-    let systems = SystemRegistry::paper();
-    let strategies = StrategyRegistry::paper();
-    let pairs = strategies.compatible_pairs(&systems, 9);
+    let systems: Vec<DynSystem> = catalogue()
+        .iter()
+        .map(|e| erase_family(e.family, 9).unwrap())
+        .collect();
+    let pairs = StrategyRegistry::paper().compatible_pairs(&systems);
     assert!(!pairs.is_empty());
 
     let mut plan = EvalPlan::new(99).trials(40);
@@ -178,9 +179,8 @@ fn legacy_estimator_is_engine_backed_and_reproducible() {
 /// `estimate_worst_case` semantics.
 #[test]
 fn per_coloring_cells_support_worst_case_searches() {
-    let systems = SystemRegistry::paper();
     let strategies = StrategyRegistry::paper();
-    let maj = systems.build("Maj", 5).unwrap();
+    let maj = erase_family("Maj", 5).unwrap();
     let scan = strategies.build("SequentialScan").unwrap();
 
     let colorings = Coloring::enumerate_all(5);

@@ -58,7 +58,7 @@ fn sim_and_live_agree_across_the_network_battery() {
 #[test]
 fn spec_backends_agree_on_one_trace() {
     let spec = WorkloadSpec::new(5)
-        .sessions(30)
+        .config(open_poisson_workload(30, SimTime::from_micros(250)))
         .policy(ProbePolicy::retry(2, SimTime::from_micros(300)))
         .network(NetworkModel::lossy(60_000));
     let plan = |_: u64, _: &LoadLedger, _: SimTime, rng: &mut StdRng| {
@@ -171,11 +171,10 @@ fn admission_control_sheds_overload_and_bounds_p99() {
 #[test]
 fn graceful_shutdown_drains_bounded_queues() {
     let outcome = WorkloadSpec::new(3)
-        .sessions(60)
-        .arrivals(ArrivalProcess::OpenPoisson {
-            mean_interarrival: SimTime::from_micros(100),
+        .config(WorkloadConfig {
+            service: Distribution::fixed(SimTime::from_micros(400)),
+            ..open_poisson_workload(60, SimTime::from_micros(100))
         })
-        .service(Distribution::fixed(SimTime::from_micros(400)))
         .backend(Backend::Live(fast_live().queue_capacity(2)))
         .run(5, |session, _, _, _| NetSessionPlan {
             probes: vec![NetProbe {

@@ -143,9 +143,11 @@ proptest! {
 /// path. Fixed-coloring cells make the comparison exact, not statistical.
 #[test]
 fn registry_strategies_report_identical_probe_counts_on_both_representations() {
-    let systems = SystemRegistry::paper();
-    let strategies = StrategyRegistry::paper();
-    let pairs = strategies.compatible_pairs(&systems, 9);
+    let systems: Vec<DynSystem> = catalogue()
+        .iter()
+        .map(|e| erase_family(e.family, 9).unwrap())
+        .collect();
+    let pairs = StrategyRegistry::paper().compatible_pairs(&systems);
     assert!(!pairs.is_empty());
 
     for (seed, reds_mod) in [(7u64, 3usize), (8, 2), (9, 4)] {

@@ -88,10 +88,9 @@ proptest! {
 /// is precomputed from the seed, and parallel trials only read it.
 #[test]
 fn churn_cells_are_bit_identical_across_thread_counts() {
-    let systems = SystemRegistry::paper();
     let strategies = StrategyRegistry::paper();
-    let maj = systems.build("Maj", 21).unwrap();
-    let tree = systems.build("Tree", 31).unwrap();
+    let maj = erase_family("Maj", 21).unwrap();
+    let tree = erase_family("Tree", 31).unwrap();
     let n_maj = maj.universe_size();
     let n_tree = tree.universe_size();
 
@@ -121,10 +120,9 @@ fn churn_cells_are_bit_identical_across_thread_counts() {
 /// first-class plan cells and stays deterministic across thread counts.
 #[test]
 fn scenario_matrix_cells_are_deterministic() {
-    let systems: Vec<DynSystem> = SystemRegistry::paper()
-        .entries()
+    let systems: Vec<DynSystem> = catalogue()
         .iter()
-        .map(|e| (e.build)(12))
+        .map(|e| erase_family(e.family, 12).unwrap())
         .collect();
     let strategies: Vec<DynProbeStrategy> = ["Probe_Maj", "Probe_Tree", "SequentialScan"]
         .iter()
@@ -225,9 +223,8 @@ fn mutual_exclusion_under_churn_trajectory() {
 /// and plausible means.
 #[test]
 fn heterogeneous_and_zoned_sources_run_through_the_engine() {
-    let systems = SystemRegistry::paper();
     let strategies = StrategyRegistry::paper();
-    let maj = systems.build("Maj", 15).unwrap();
+    let maj = erase_family("Maj", 15).unwrap();
     let n = maj.universe_size();
     let scan = strategies.build("SequentialScan").unwrap();
 
@@ -248,9 +245,8 @@ fn heterogeneous_and_zoned_sources_run_through_the_engine() {
 /// strategies on the same timeline see identical inputs per trial.
 #[test]
 fn shared_churn_trajectory_pairs_cells() {
-    let systems = SystemRegistry::paper();
     let strategies = StrategyRegistry::paper();
-    let maj = systems.build("Maj", 9).unwrap();
+    let maj = erase_family("Maj", 9).unwrap();
     let n = maj.universe_size();
     let trajectory = Arc::new(ChurnTrajectory::generate(n, 0.2, 0.4, 32, 17));
 
