@@ -2,9 +2,8 @@
 //!
 //! A [`ColoringDelta`] is the sparse word-level XOR between two colorings of
 //! the same universe: a sorted list of `(word index, xor mask)` entries whose
-//! masks are nonzero. Applying a delta is a handful of word XORs, and asking
-//! whether a delta touches a given support set is a word AND over the dirty
-//! entries only — both independent of the universe size.
+//! masks are nonzero. Applying a delta is a handful of word XORs over the
+//! dirty entries only, independent of the universe size.
 //!
 //! [`DeltaEvaluator`] is the incremental counterpart of
 //! [`QuorumSystem::has_green_quorum`]: a stateful evaluator that caches
@@ -17,7 +16,7 @@
 
 use crate::set::{tail_mask, WORD_BITS};
 use crate::system::DynQuorumSystem;
-use crate::{Coloring, ElementId, ElementSet, QuorumSystem};
+use crate::{Coloring, ElementId, QuorumSystem};
 
 /// The sparse XOR between two [`Coloring`]s of the same universe.
 ///
@@ -84,26 +83,6 @@ impl ColoringDelta {
             let base = w as usize * WORD_BITS;
             BitIter { mask }.map(move |bit| base + bit)
         })
-    }
-
-    /// Whether any flipped element lies in `set` (a word AND over the dirty
-    /// entries only).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the universes differ.
-    pub fn touches(&self, set: &ElementSet) -> bool {
-        assert_eq!(
-            self.universe,
-            set.universe_size(),
-            "delta universe {} does not match set universe {}",
-            self.universe,
-            set.universe_size()
-        );
-        let words = set.words();
-        self.entries
-            .iter()
-            .any(|&(w, mask)| words[w as usize] & mask != 0)
     }
 
     /// Clears the delta (keeps the allocation and universe).
@@ -328,7 +307,7 @@ pub fn delta_evaluator_for(system: &DynQuorumSystem) -> Box<dyn DeltaEvaluator +
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Color, Coterie};
+    use crate::{Color, Coterie, ElementSet};
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;
 
@@ -384,18 +363,6 @@ mod tests {
             vec![0, 63, 64, 127, 199]
         );
         assert_eq!(delta.entries().len(), 3);
-    }
-
-    #[test]
-    fn touches_is_a_sparse_intersection_test() {
-        let a = Coloring::all_green(150);
-        let mut b = a.clone();
-        b.set_color(70, Color::Red);
-        let delta = a.diff(&b);
-        assert!(delta.touches(&ElementSet::from_iter(150, [70])));
-        assert!(delta.touches(&ElementSet::from_iter(150, [1, 70, 149])));
-        assert!(!delta.touches(&ElementSet::from_iter(150, [69, 71, 149])));
-        assert!(!delta.touches(&ElementSet::from_iter(150, [])));
     }
 
     #[test]

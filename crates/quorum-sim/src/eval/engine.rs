@@ -61,35 +61,35 @@ pub fn derive_rng(base_seed: u64, cell_index: u64, trial_index: u64) -> TrialRng
     TrialRng::seed_from_u64(mix(base_seed ^ cell_word ^ trial_word))
 }
 
+/// The `(first_trial, len)` tiles that cover `trials` consecutive trials in
+/// order: every tile except the last has exactly `shard_trials` trials.
+fn tiles(trials: usize, shard_trials: usize) -> impl Iterator<Item = (u64, usize)> {
+    (0..trials)
+        .step_by(shard_trials)
+        .map(move |first| (first as u64, shard_trials.min(trials - first)))
+}
+
 /// Runs `trials` independent trials of `f` in parallel with deterministic
 /// per-trial RNGs, returning the observed values in trial order.
 ///
 /// This is the shared loop behind every Monte-Carlo estimator in the
 /// workspace: `f(trial_index, rng)` must be a pure function of its arguments
-/// for results to be reproducible. Trials run in fixed-size chunks; results
-/// are identical for any thread count.
+/// for results to be reproducible. Trials run in [`DEFAULT_SHARD_TRIALS`]
+/// tiles; results are identical for any thread count.
 pub fn trial_values<F>(trials: usize, base_seed: u64, cell_index: u64, f: F) -> Vec<f64>
 where
     F: Fn(u64, &mut TrialRng) -> f64 + Sync,
 {
-    let starts: Vec<usize> = (0..trials).step_by(DEFAULT_SHARD_TRIALS).collect();
-    let chunks: Vec<Vec<f64>> = starts
+    let tile_values: Vec<Vec<f64>> = tiles(trials, DEFAULT_SHARD_TRIALS)
+        .collect::<Vec<_>>()
         .into_par_iter()
-        .map(|start| {
-            let len = DEFAULT_SHARD_TRIALS.min(trials - start);
-            let mut out = Vec::with_capacity(len);
-            for trial in start..start + len {
-                let mut rng = derive_rng(base_seed, cell_index, trial as u64);
-                out.push(f(trial as u64, &mut rng));
-            }
-            out
+        .map(|(first, len)| {
+            (first..first + len as u64)
+                .map(|trial| f(trial, &mut derive_rng(base_seed, cell_index, trial)))
+                .collect()
         })
         .collect();
-    let mut values = Vec::with_capacity(trials);
-    for chunk in chunks {
-        values.extend(chunk);
-    }
-    values
+    tile_values.concat()
 }
 
 /// The measured outcome of one [`EvalPlan`] cell.
@@ -252,20 +252,17 @@ impl EvalEngine {
     /// The shard decomposition this engine would use for `plan`, in
     /// execution (plan) order.
     pub fn shards(&self, plan: &EvalPlan) -> Vec<Shard> {
-        let mut shards = Vec::new();
-        for (cell_index, cell) in plan.cells.iter().enumerate() {
-            let mut first_trial = 0usize;
-            while first_trial < cell.trials {
-                let len = self.shard_trials.min(cell.trials - first_trial);
-                shards.push(Shard {
+        plan.cells
+            .iter()
+            .enumerate()
+            .flat_map(|(cell_index, cell)| {
+                tiles(cell.trials, self.shard_trials).map(move |(first_trial, trials)| Shard {
                     cell_index,
-                    first_trial: first_trial as u64,
-                    trials: len,
-                });
-                first_trial += len;
-            }
-        }
-        shards
+                    first_trial,
+                    trials,
+                })
+            })
+            .collect()
     }
 
     /// The number of worker threads this engine will use.
@@ -299,26 +296,32 @@ impl EvalEngine {
     pub fn run(&self, plan: &EvalPlan) -> EvalReport {
         let started = Instant::now();
         let threads = self.thread_count();
-        let values = self.install(|| self.run_trials(plan));
+        let shards = self.shards(plan);
+        let shard_values = self.install(|| Self::run_trials(plan, &shards));
 
-        // Fold each cell's values, in trial order, into its estimate.
-        let mut cells = Vec::with_capacity(plan.cells.len());
-        let mut offset = 0usize;
-        for cell in &plan.cells {
-            let mut stats = RunningStats::new();
-            for &value in &values[offset..offset + cell.trials] {
-                stats.push(value);
+        // Fold each shard's values straight into its cell's estimate. Shards
+        // are in plan order and tile each cell in trial order, so every cell
+        // sees its values in trial order.
+        let mut stats = vec![RunningStats::new(); plan.cells.len()];
+        for (shard, values) in shards.iter().zip(shard_values) {
+            let cell_stats = &mut stats[shard.cell_index];
+            for value in values {
+                cell_stats.push(value);
             }
-            offset += cell.trials;
-            cells.push(CellReport {
+        }
+        let cells = plan
+            .cells
+            .iter()
+            .zip(&stats)
+            .map(|(cell, stats)| CellReport {
                 system: cell.system_label.clone(),
                 strategy: cell.strategy_label.clone(),
                 model: cell.model_label.clone(),
                 universe_size: cell.universe_size,
                 trials: cell.trials,
-                estimate: Estimate::from_stats(&stats),
-            });
-        }
+                estimate: Estimate::from_stats(stats),
+            })
+            .collect();
 
         EvalReport {
             base_seed: plan.base_seed,
@@ -328,12 +331,12 @@ impl EvalEngine {
         }
     }
 
-    /// Executes all `(cell, trial)` pairs as per-cell shards on one parallel
-    /// map, returning every trial value in plan order.
-    fn run_trials(&self, plan: &EvalPlan) -> Vec<f64> {
-        let shard_values: Vec<Vec<f64>> = self
-            .shards(plan)
-            .into_par_iter()
+    /// Executes all `(cell, trial)` pairs as the per-cell `shards` of `plan`
+    /// on one parallel map, returning each shard's trial values in shard
+    /// order.
+    fn run_trials(plan: &EvalPlan, shards: &[Shard]) -> Vec<Vec<f64>> {
+        shards
+            .par_iter()
             .map(|shard| {
                 let cell = &plan.cells[shard.cell_index];
                 let mut out = Vec::with_capacity(shard.trials);
@@ -373,13 +376,7 @@ impl EvalEngine {
                 }
                 out
             })
-            .collect();
-
-        let mut values = Vec::with_capacity(plan.cells.iter().map(|c| c.trials).sum());
-        for shard in shard_values {
-            values.extend(shard);
-        }
-        values
+            .collect()
     }
 }
 
@@ -425,7 +422,7 @@ mod tests {
         let plan = small_plan();
         let baseline = EvalEngine::with_threads(1).run(&plan);
         for shard_trials in [1usize, 7, 64, 512, 10_000] {
-            for threads in [1usize, 4] {
+            for threads in [1usize, 2, 3, 7] {
                 let report = EvalEngine::with_threads(threads)
                     .with_shard_trials(shard_trials)
                     .run(&plan);
